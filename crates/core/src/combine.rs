@@ -123,8 +123,8 @@ impl<S: SequentialSpec> Slot<S> {
     }
 }
 
-/// Monomorphized snapshot builder installed by `ensure_snapshots`; see the
-/// `snapshot_fn` field.
+/// Monomorphized snapshot builder (a clone of the view) installed by
+/// `ensure_snapshots`; see the `snapshot_fn` field.
 type SnapshotFn<S> = fn(&mut ProcessHandle<S>) -> ReadSnapshot<S>;
 
 struct ServiceShared<S: SequentialSpec> {
@@ -163,15 +163,33 @@ struct ServiceShared<S: SequentialSpec> {
     /// Snapshot builder, installed by `ensure_snapshots`. A monomorphized fn
     /// pointer so the `S: Clone` bound lives only on the snapshot-enabling
     /// entry points instead of spreading through the whole service API; unset
-    /// means the read path is dormant and batches skip the per-commit clone.
+    /// means the read path is dormant and batches publish nothing. Publishes
+    /// use it only when the cell's spare cannot be recycled.
     snapshot_fn: OnceLock<SnapshotFn<S>>,
     /// Reads served lock-free from a published snapshot.
     snapshot_reads: AtomicU64,
     /// Reads served under the commit lock (`read_latest` and fallbacks).
     latest_reads: AtomicU64,
-    /// Time to clone + publish one snapshot ("combine.snapshot_publish_ns") —
-    /// the write-path overhead the read path buys its lock freedom with.
+    /// Time to build one snapshot (recycle the spare, or clone the view) and
+    /// publish it ("combine.snapshot_publish_ns") — the write-path overhead
+    /// the read path buys its lock freedom with.
     publish_hist: Histogram,
+    /// Publishes that cloned the whole state instead of recycling the spare
+    /// ("combine.snapshot_clones"): the seed, and any publish that found no
+    /// spare, a journal gap, or a spare below `rebuild_before`.
+    snapshot_clones: Counter,
+    /// One past the view index of the last checkpoint taken through
+    /// `maybe_checkpoint`. Spares below it are rebuilt by a clone rather than
+    /// recycled, so both buffers of the snapshot pair are fresh copies once
+    /// per checkpoint interval. A buffer that is only ever recycled grows
+    /// scattered (replaced values land wherever the allocator has room), and
+    /// reads of it slow down once other work evicts it between batches:
+    /// `service_batch8` (whose untimed resolve checks decode a checkpoint per
+    /// call) measured get p50 0.131 us with pure recycling against 0.095 us
+    /// with this rebuild and 0.0875 us for a fresh clone per batch. Services
+    /// that never call `maybe_checkpoint` (the server's shards checkpoint on
+    /// threads of their own) never rebuild and always recycle.
+    rebuild_before: AtomicU64,
 }
 
 impl<S: SequentialSpec> ServiceShared<S> {
@@ -291,14 +309,31 @@ impl<S: SequentialSpec> ServiceShared<S> {
     }
 
     /// Publishes a fresh snapshot from the combiner handle's view, if the
-    /// snapshot read path has been enabled. Must be called with the commit
-    /// lock held (the `&mut ProcessHandle` only the lock hands out).
+    /// snapshot read path has been enabled and the view has moved past the
+    /// published snapshot. Recycles the cell's spare when the view's journal
+    /// covers its gap (O(operations since the spare's index)); clones the
+    /// view otherwise. Must be called with the commit lock held (the
+    /// `&mut ProcessHandle` only the lock hands out).
     fn publish_snapshot(&self, handle: &mut ProcessHandle<S>) {
-        if let Some(make) = self.snapshot_fn.get() {
-            let timer = self.publish_hist.start_timer();
-            self.snapshots.publish(make(handle));
-            timer.stop();
+        let Some(clone_view) = self.snapshot_fn.get() else {
+            return;
+        };
+        if self.snapshots.current_index() == Some(handle.sync_latest()) {
+            return;
         }
+        let timer = self.publish_hist.start_timer();
+        let rebuild_before = self.rebuild_before.load(Ordering::Relaxed);
+        let recycled = self
+            .snapshots
+            .take_spare()
+            .filter(|spare| spare.index() >= rebuild_before)
+            .and_then(|mut spare| handle.catch_up(&mut spare).then_some(spare));
+        let snapshot = recycled.unwrap_or_else(|| {
+            self.snapshot_clones.incr();
+            Box::new(clone_view(handle))
+        });
+        self.snapshots.publish(snapshot);
+        timer.stop();
     }
 
     /// Idempotently enables the lock-free snapshot read path: installs the
@@ -316,10 +351,10 @@ impl<S: SequentialSpec> ServiceShared<S> {
         let mut handle = self.combiner.lock();
         // Re-check under the lock: a racing enabler may have won.
         if self.snapshot_fn.get().is_none() || !self.snapshots.is_published() {
-            let timer = self.publish_hist.start_timer();
-            self.snapshots.publish(make_snapshot(&mut handle));
-            timer.stop();
+            // Journal from the seed on, so later publishes can recycle.
+            handle.start_journal();
             let _ = self.snapshot_fn.set(make_snapshot::<S>);
+            self.publish_snapshot(&mut handle);
         }
     }
 
@@ -331,7 +366,8 @@ impl<S: SequentialSpec> ServiceShared<S> {
 }
 
 /// The monomorphized snapshot builder `ensure_snapshots` installs: clones the
-/// combiner view's state at the newest linearized operation.
+/// combiner view's state at the newest linearized operation — the seed
+/// publish and the fallback when no spare can be recycled.
 fn make_snapshot<S: SequentialSpec + Clone>(handle: &mut ProcessHandle<S>) -> ReadSnapshot<S> {
     let (state, idx) = handle.snapshot_state();
     ReadSnapshot::new(state, idx)
@@ -387,6 +423,8 @@ impl<S: SequentialSpec> Durable<S> {
                 snapshot_reads: AtomicU64::new(0),
                 latest_reads: AtomicU64::new(0),
                 publish_hist: telemetry.histogram("combine.snapshot_publish_ns"),
+                snapshot_clones: telemetry.counter("combine.snapshot_clones"),
+                rebuild_before: AtomicU64::new(0),
             }),
         })
     }
@@ -625,9 +663,15 @@ impl<S: SnapshotSpec> DurableService<S> {
         // The synced view may be ahead of the last batch commit (e.g. plain
         // handles updated the object directly): refresh the snapshot too, so
         // periodic checkpointing doubles as a staleness bound for the
-        // lock-free read path.
+        // lock-free read path. A no-op when the view has not moved.
         self.inner.publish_snapshot(&mut handle);
-        handle.maybe_checkpoint()
+        let fired = handle.maybe_checkpoint()?;
+        if fired.is_some() {
+            self.inner
+                .rebuild_before
+                .store(handle.view_index() + 1, Ordering::Relaxed);
+        }
+        Ok(fired)
     }
 }
 
@@ -960,10 +1004,13 @@ impl<S: SequentialSpec> std::fmt::Debug for SnapshotReader<S> {
 }
 
 #[cfg(test)]
+mod recycling_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::OnllConfig;
-    use nvm_sim::{NvmPool, PmemConfig};
+    use nvm_sim::{NvmPool, PmemConfig, Telemetry};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Counter(i64);
@@ -998,7 +1045,19 @@ mod tests {
     }
 
     fn counter_service(clients: usize, group: usize) -> (NvmPool, DurableService<Counter>) {
-        let pool = NvmPool::new(PmemConfig::with_capacity(64 << 20).apply_pending_at_crash(0.0));
+        counter_service_with(clients, group, Telemetry::disabled())
+    }
+
+    fn counter_service_with(
+        clients: usize,
+        group: usize,
+        telemetry: Telemetry,
+    ) -> (NvmPool, DurableService<Counter>) {
+        let pool = NvmPool::new(
+            PmemConfig::with_capacity(64 << 20)
+                .apply_pending_at_crash(0.0)
+                .telemetry(telemetry),
+        );
         let obj = Durable::<Counter>::create(
             pool.clone(),
             OnllConfig::named("svc")
@@ -1279,6 +1338,79 @@ mod tests {
         });
         assert_eq!(service.read_snapshot(&()), 500);
         service.durable().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn pinned_spare_forces_a_counted_clone() {
+        let telemetry = Telemetry::enabled();
+        let clones = || {
+            telemetry
+                .snapshot()
+                .counter("combine.snapshot_clones")
+                .map_or(0, |c| c.value)
+        };
+        let (_pool, service) = counter_service_with(1, 1, telemetry.clone());
+        let mut client = service.client().unwrap();
+        service.enable_snapshots();
+        assert_eq!(clones(), 1, "the seed publish clones");
+        client.submit(Add(1)).unwrap();
+        assert_eq!(clones(), 2, "no spare until the seed is retired");
+        for _ in 0..8 {
+            client.submit(Add(1)).unwrap();
+        }
+        assert_eq!(clones(), 2, "steady state recycles the spare");
+        // Pin the current snapshot: the next publish retires it pinned, so
+        // the one after that finds no spare and clones.
+        let cell = &service.inner.snapshots;
+        let slot = cell.claim_pool_slot().unwrap();
+        let pinned = cell.load_protected(slot).unwrap();
+        let (idx, value) = (pinned.index(), pinned.read(&()));
+        client.submit(Add(1)).unwrap();
+        assert_eq!(clones(), 2, "the previous spare was free");
+        client.submit(Add(1)).unwrap();
+        assert_eq!(clones(), 3, "the would-be spare is pinned: clone");
+        for _ in 0..4 {
+            client.submit(Add(1)).unwrap();
+        }
+        assert_eq!((pinned.index(), pinned.read(&())), (idx, value));
+        drop(pinned);
+        cell.release_pool_slot(slot);
+        client.submit(Add(1)).unwrap();
+        assert_eq!(clones(), 3);
+        assert_eq!(service.read_snapshot(&()), 16);
+    }
+
+    #[test]
+    fn snapshot_indices_stay_monotone_and_consistent_under_commits() {
+        // Every op adds 1 from a fresh object, so a snapshot's value equals
+        // its index: a recycled buffer mutated under a reader would break it.
+        let (_pool, service) = counter_service(2, 2);
+        service.enable_snapshots();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                let service = &service;
+                scope.spawn(move || {
+                    let cell = &service.inner.snapshots;
+                    let slot = cell.claim_pool_slot().unwrap();
+                    let mut last = 0;
+                    for _ in 0..5_000 {
+                        let guard = cell.load_protected(slot).unwrap();
+                        let idx = guard.index();
+                        assert!(idx >= last, "snapshot index regressed: {idx} < {last}");
+                        assert_eq!(guard.read(&()), idx as i64, "state disagrees with index");
+                        last = idx;
+                    }
+                    cell.release_pool_slot(slot);
+                });
+            }
+            scope.spawn(|| {
+                let mut client = service.client().unwrap();
+                for _ in 0..2_000 {
+                    client.submit(Add(1)).unwrap();
+                }
+            });
+        });
+        assert_eq!(service.read_snapshot(&()), 2_000);
     }
 
     #[test]

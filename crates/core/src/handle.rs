@@ -7,6 +7,7 @@ use crate::error::OnllError;
 use crate::hooks::Phase;
 use crate::local_view::LocalView;
 use crate::op_id::{encode_record_into, OpId, Record};
+use crate::snapshot::ReadSnapshot;
 use crate::spec::{SequentialSpec, SnapshotSpec};
 use exec_trace::TraceNode;
 use persist_log::{LogError, PersistentLog};
@@ -488,12 +489,50 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// index. Background checkpointers use this to materialize fresh state to
     /// snapshot; for full-replay handles it only publishes progress.
     pub fn sync(&mut self) -> u64 {
-        let node = self.shared.trace.latest_available();
-        if let ReadStrategy::LocalView(view) = &mut self.strategy {
-            view.advance_to(&self.shared.trace, node);
-        }
-        self.publish_progress();
+        self.sync_latest();
         self.view_index()
+    }
+
+    /// [`ProcessHandle::sync`], returning the execution index a snapshot
+    /// taken now covers — the view's for local views, the latest linearized
+    /// operation's for full-replay handles.
+    pub(crate) fn sync_latest(&mut self) -> u64 {
+        let node = self.shared.trace.latest_available();
+        let idx = match &mut self.strategy {
+            ReadStrategy::LocalView(view) => {
+                view.advance_to(&self.shared.trace, node);
+                view.idx()
+            }
+            ReadStrategy::FullReplay => node.idx(),
+        };
+        self.publish_progress();
+        idx
+    }
+
+    /// Starts journaling the operations this handle's view applies from its
+    /// current index on (dropping earlier entries), so
+    /// [`ProcessHandle::catch_up`] can bring snapshots taken since up to
+    /// date. A no-op for full-replay handles, which keep no view.
+    pub(crate) fn start_journal(&mut self) {
+        if let ReadStrategy::LocalView(view) = &mut self.strategy {
+            view.start_journal();
+        }
+    }
+
+    /// Brings `snapshot`, an earlier snapshot of this handle's view, up to
+    /// the view's index by replaying the view's journal — O(operations in
+    /// between), where [`ProcessHandle::snapshot_state`] is O(|state|).
+    /// Returns `false`, leaving `snapshot` untouched, when the journal cannot
+    /// cover the gap (no journal, a full-replay handle, or entries dropped).
+    pub(crate) fn catch_up(&mut self, snapshot: &mut ReadSnapshot<S>) -> bool {
+        let ReadStrategy::LocalView(view) = &mut self.strategy else {
+            return false;
+        };
+        if !view.catch_up(&mut snapshot.state, snapshot.idx) {
+            return false;
+        }
+        snapshot.idx = view.idx();
+        true
     }
 
     /// Materializes an owned copy of the state at the latest linearized

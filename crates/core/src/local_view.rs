@@ -10,6 +10,11 @@
 use crate::op_id::Record;
 use crate::spec::SequentialSpec;
 use exec_trace::{ExecutionTrace, TraceNode};
+use std::collections::VecDeque;
+
+/// Most operations a view's journal holds; past it the oldest are dropped, so
+/// a copy of the state that far behind the view is rebuilt by a clone.
+const JOURNAL_CAP: usize = 1024;
 
 /// A materialized object state reflecting the trace prefix up to `idx`.
 pub struct LocalView<S: SequentialSpec> {
@@ -22,6 +27,11 @@ pub struct LocalView<S: SequentialSpec> {
     /// identity with a sequence number at or below the floor is *compacted*,
     /// not merely unexecuted (`ResolveOutcome::Truncated`).
     seq_high: Vec<u64>,
+    /// The update operations this view applied, with their execution indices,
+    /// in index order — kept only once [`LocalView::start_journal`] is called
+    /// (the combiner of a `DurableService` with snapshot reads), so an older
+    /// copy of the state can be brought up to this view by replaying them.
+    journal: Option<VecDeque<(u64, S::UpdateOp)>>,
 }
 
 impl<S: SequentialSpec> LocalView<S> {
@@ -32,6 +42,7 @@ impl<S: SequentialSpec> LocalView<S> {
             state,
             idx: base_idx,
             seq_high: Vec::new(),
+            journal: None,
         }
     }
 
@@ -60,6 +71,49 @@ impl<S: SequentialSpec> LocalView<S> {
         self.seq_high[pid] = self.seq_high[pid].max(op_id.seq);
     }
 
+    /// Applies the operation at execution index `idx` to the state (the
+    /// caller moves `self.idx`), journaling it when the journal is on.
+    fn apply_record(&mut self, idx: u64, record: &Record<S::UpdateOp>) -> S::Value {
+        self.note_applied(record.op_id);
+        if let Some(journal) = &mut self.journal {
+            if journal.len() == JOURNAL_CAP {
+                journal.pop_front();
+            }
+            journal.push_back((idx, record.op.clone()));
+        }
+        self.state.apply(&record.op)
+    }
+
+    /// Starts journaling applied operations from this view's index on,
+    /// dropping any earlier entries; see [`LocalView::catch_up`].
+    pub(crate) fn start_journal(&mut self) {
+        self.journal = Some(VecDeque::new());
+    }
+
+    /// Brings `state`, a copy of this view's state as of execution index
+    /// `from`, up to this view's index by replaying the journaled operations
+    /// above `from` — the [`LocalView::advance_to`] idea applied to a copy.
+    /// Journal entries at or below `from` are dropped first. Returns `false`,
+    /// leaving `state` untouched, when the journal is off or does not hold
+    /// every operation of `(from, idx]`.
+    pub(crate) fn catch_up(&mut self, state: &mut S, from: u64) -> bool {
+        let Some(journal) = &mut self.journal else {
+            return false;
+        };
+        while journal.front().is_some_and(|&(idx, _)| idx <= from) {
+            journal.pop_front();
+        }
+        // The entries left are strictly increasing indices in (from, idx], so
+        // they cover that range completely exactly when there are idx - from.
+        if self.idx.checked_sub(from) != Some(journal.len() as u64) {
+            return false;
+        }
+        for (_, op) in journal.iter() {
+            state.apply(op);
+        }
+        true
+    }
+
     /// Advances the view to `target` by replaying the missing suffix of the trace,
     /// returning the value of the last applied operation (used by updates, whose
     /// return value is computed on the state immediately after their own
@@ -77,17 +131,16 @@ impl<S: SequentialSpec> LocalView<S> {
             // (its own just-ordered operation): apply directly, no suffix
             // collection, no allocation.
             self.idx = target.idx();
-            return target.op().as_ref().map(|r| {
-                self.note_applied(r.op_id);
-                self.state.apply(&r.op)
-            });
+            return target
+                .op()
+                .as_ref()
+                .map(|r| self.apply_record(target.idx(), r));
         }
         let missing = trace.nodes_between(self.idx, target);
         let mut last_value = None;
         for node in missing {
             if let Some(record) = node.op() {
-                self.note_applied(record.op_id);
-                last_value = Some(self.state.apply(&record.op));
+                last_value = Some(self.apply_record(node.idx(), record));
             }
             self.idx = node.idx();
         }

@@ -19,11 +19,27 @@
 //!
 //! Reclamation is hazard-pointer based (we vendor no `arc-swap`): each reader
 //! owns one hazard slot; a publisher retires the previous snapshot into a
-//! limbo list and frees every limbo entry no hazard slot still protects.
+//! limbo list, and every limbo entry no hazard slot still protects leaves it:
+//! the newest becomes the cell's one *spare*, the rest are freed.
 //! Publishers are serialized by the commit lock, so retirement is
 //! single-threaded and the limbo list is bounded by the hazard-slot count —
 //! but nothing here *relies* on that serialization for memory safety (the
 //! limbo list carries its own mutex), only for snapshot monotonicity.
+//!
+//! ## Publication cost
+//!
+//! The spare is recycled rather than freed: the next publisher takes it
+//! ([`SnapshotCell::take_spare`]), brings it from its own index up to the
+//! combiner view's by replaying the operations the view applied in between
+//! (the Section 8 local-view idea applied to the published copy), and
+//! publishes it. A publish therefore costs O(operations since the spare's
+//! index) — about two batches — instead of a clone of the whole state. It
+//! falls back to a clone for the very first (seed) publish, when readers still
+//! pin every retired snapshot so there is no spare, and when the combiner's
+//! journal cannot cover the spare's gap; the service also rebuilds both
+//! buffers once after each checkpoint it takes, so they stay compact and
+//! warm. Memory: at most one extra resident copy of the state (the spare)
+//! per cell, plus what pinned readers hold.
 //!
 //! ## Consistency contract
 //!
@@ -39,7 +55,7 @@
 
 use crate::spec::SequentialSpec;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 /// An immutable state snapshot covering a linearized prefix of the execution.
 ///
@@ -47,8 +63,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 /// enablement, seeding from the recovered state); consumed lock-free by
 /// [`crate::SnapshotReader`]s and the `read_snapshot` methods.
 pub struct ReadSnapshot<S: SequentialSpec> {
-    state: S,
-    idx: u64,
+    pub(crate) state: S,
+    pub(crate) idx: u64,
 }
 
 impl<S: SequentialSpec> ReadSnapshot<S> {
@@ -104,9 +120,21 @@ pub(crate) struct SnapshotCell<S: SequentialSpec> {
     hazards: Box<[HazardSlot<S>]>,
     /// First pool (claimable) slot; lower slots are statically reserved.
     pool_start: usize,
-    /// Retired-but-possibly-still-read snapshots, freed on the next publish
-    /// once no hazard slot protects them. Bounded by the hazard-slot count.
-    limbo: Mutex<Vec<*mut ReadSnapshot<S>>>,
+    /// Execution index of the `current` snapshot (meaningful once published).
+    /// Written and read by publishers only, which the commit lock serializes.
+    current_idx: AtomicU64,
+    retired: Mutex<Retired<S>>,
+}
+
+/// Snapshots swapped out of `current`, owned by the publishers.
+struct Retired<S: SequentialSpec> {
+    /// Retired-but-possibly-still-read snapshots, reclaimed on the next
+    /// publish once no hazard slot protects them. Bounded by the hazard-slot
+    /// count.
+    limbo: Vec<*mut ReadSnapshot<S>>,
+    /// The newest reclaimed snapshot, which no reader can reach any more:
+    /// kept (at most one) for the next publisher to recycle.
+    spare: Option<Box<ReadSnapshot<S>>>,
 }
 
 // SAFETY: the raw pointers in `current`/`hazards`/`limbo` all point at
@@ -125,7 +153,11 @@ impl<S: SequentialSpec> SnapshotCell<S> {
             current: AtomicPtr::new(std::ptr::null_mut()),
             hazards: (0..reserved + pool).map(|_| HazardSlot::new()).collect(),
             pool_start: reserved,
-            limbo: Mutex::new(Vec::new()),
+            current_idx: AtomicU64::new(0),
+            retired: Mutex::new(Retired {
+                limbo: Vec::new(),
+                spare: None,
+            }),
         }
     }
 
@@ -134,17 +166,34 @@ impl<S: SequentialSpec> SnapshotCell<S> {
         !self.current.load(Ordering::Acquire).is_null()
     }
 
+    /// Execution index of the current snapshot, `None` before the first
+    /// publish. For publishers (serialized by the commit lock), which use it
+    /// to skip republishing an unchanged state.
+    pub(crate) fn current_index(&self) -> Option<u64> {
+        self.is_published()
+            .then(|| self.current_idx.load(Ordering::Relaxed))
+    }
+
+    /// Takes the spare: a retired snapshot no reader can reach any more, now
+    /// exclusively the caller's to bring up to date and publish again.
+    pub(crate) fn take_spare(&self) -> Option<Box<ReadSnapshot<S>>> {
+        self.retired.lock().spare.take()
+    }
+
     /// Publishes `snapshot` with a single pointer swap and retires the
-    /// previous one. Callers are expected to be serialized (the commit lock);
-    /// concurrent publishes would still be memory-safe but could regress the
-    /// visible execution index.
-    pub(crate) fn publish(&self, snapshot: ReadSnapshot<S>) {
-        let fresh = Box::into_raw(Box::new(snapshot));
+    /// previous one. Of the retired snapshots no hazard slot protects, the
+    /// newest becomes the spare and the rest are freed. Callers are expected
+    /// to be serialized (the commit lock); concurrent publishes would still
+    /// be memory-safe but could regress the visible execution index.
+    pub(crate) fn publish(&self, snapshot: Box<ReadSnapshot<S>>) {
+        self.current_idx.store(snapshot.idx, Ordering::Relaxed);
+        let fresh = Box::into_raw(snapshot);
         // SeqCst swap: totally ordered against the readers' hazard-validate
         // sequence (see `load_protected`) so a reader that re-validated `old`
         // after protecting it is guaranteed visible to the scan below.
         let old = self.current.swap(fresh, Ordering::SeqCst);
-        let mut limbo = self.limbo.lock();
+        let mut retired = self.retired.lock();
+        let Retired { limbo, spare } = &mut *retired;
         if !old.is_null() {
             limbo.push(old);
         }
@@ -154,10 +203,26 @@ impl<S: SequentialSpec> SnapshotCell<S> {
                 .iter()
                 .any(|h| h.protected.load(Ordering::SeqCst) == p);
             if !protected {
-                // SAFETY: `p` was retired from `current` (unreachable to new
-                // readers) and no hazard slot protects it; publishers are the
-                // only freers and hold the limbo lock.
-                unsafe { drop(Box::from_raw(p)) };
+                // SAFETY: `p` came from `Box::into_raw` and was retired from
+                // `current`, so no new reader can load it, and no hazard slot
+                // protects it: a reader that held it published its release
+                // with a `Release` store (null on guard drop, or the next
+                // pointer it tries), and this `SeqCst` load observes that
+                // store and synchronizes with it, so all of that reader's
+                // accesses to `*p` happen before ours. A reader between
+                // loading `p` and validating it may still hold the address,
+                // but validation (`current == p` after the hazard store, both
+                // `SeqCst`) fails unless `p` is current again — and it only
+                // becomes current again through a later `publish`, whose swap
+                // releases every write made to it before. Freeing `*p` and
+                // mutating it as a spare are therefore equally exclusive.
+                // That address reuse (ABA) is the one the allocator already
+                // creates when a freed snapshot's memory backs the next one.
+                // Publishers are the only reclaimers and hold the limbo lock.
+                let unreachable = unsafe { Box::from_raw(p) };
+                if spare.as_ref().is_none_or(|s| s.idx < unreachable.idx) {
+                    *spare = Some(unreachable);
+                }
             }
             protected
         });
@@ -223,7 +288,7 @@ impl<S: SequentialSpec> Drop for SnapshotCell<S> {
             // SAFETY: exclusive access per above; pointers are Box-allocated.
             unsafe { drop(Box::from_raw(current)) };
         }
-        for p in self.limbo.get_mut().drain(..) {
+        for p in self.retired.get_mut().limbo.drain(..) {
             // SAFETY: same argument.
             unsafe { drop(Box::from_raw(p)) };
         }
@@ -231,8 +296,9 @@ impl<S: SequentialSpec> Drop for SnapshotCell<S> {
 }
 
 /// A pinned, immutable view of the published snapshot. Dropping the guard
-/// releases the hazard slot; holding it keeps the snapshot alive (and keeps
-/// one limbo entry pinned), so guards should be short-lived.
+/// releases the hazard slot; holding it keeps the snapshot alive and
+/// unchanged (one limbo entry pinned, never freed nor recycled), so guards
+/// should be short-lived.
 pub struct SnapshotGuard<'a, S: SequentialSpec> {
     cell: &'a SnapshotCell<S>,
     slot: usize,
@@ -292,12 +358,16 @@ mod tests {
         }
     }
 
+    fn snap(state: Reg, idx: u64) -> Box<ReadSnapshot<Reg>> {
+        Box::new(ReadSnapshot::new(state, idx))
+    }
+
     #[test]
     fn empty_cell_returns_none_and_publish_makes_it_live() {
         let cell = SnapshotCell::<Reg>::new(1, 1);
         assert!(!cell.is_published());
         assert!(cell.load_protected(0).is_none());
-        cell.publish(ReadSnapshot::new(Reg(7), 1));
+        cell.publish(snap(Reg(7), 1));
         assert!(cell.is_published());
         let guard = cell.load_protected(0).unwrap();
         assert_eq!(guard.read(&()), 7);
@@ -307,18 +377,43 @@ mod tests {
     #[test]
     fn publish_retires_old_snapshots_not_under_hazard() {
         let cell = SnapshotCell::<Reg>::new(1, 0);
-        cell.publish(ReadSnapshot::new(Reg(1), 1));
+        cell.publish(snap(Reg(1), 1));
         {
             let guard = cell.load_protected(0).unwrap();
             // Published while a reader pins the old snapshot: the old value
             // stays readable through the guard.
-            cell.publish(ReadSnapshot::new(Reg(2), 2));
+            cell.publish(snap(Reg(2), 2));
             assert_eq!(guard.read(&()), 1);
         }
         // Guard dropped: the next publish frees the pinned-then-released one.
-        cell.publish(ReadSnapshot::new(Reg(3), 3));
+        cell.publish(snap(Reg(3), 3));
         assert_eq!(cell.load_protected(0).unwrap().read(&()), 3);
-        assert!(cell.limbo.lock().len() <= 1);
+        assert!(cell.retired.lock().limbo.len() <= 1);
+    }
+
+    #[test]
+    fn newest_unpinned_retiree_is_the_spare_and_pinned_ones_never_are() {
+        let cell = SnapshotCell::<Reg>::new(1, 0);
+        cell.publish(snap(Reg(1), 1));
+        assert!(cell.take_spare().is_none(), "nothing retired yet");
+        cell.publish(snap(Reg(2), 2));
+        let mut spare = cell.take_spare().expect("unread snapshot 1 is the spare");
+        assert_eq!(spare.index(), 1);
+        let pinned = cell.load_protected(0).unwrap();
+        cell.publish(snap(Reg(3), 3));
+        assert!(cell.take_spare().is_none(), "snapshot 2 is pinned");
+        // Recycle snapshot 1 as snapshot 4; the reader of 2 is unaffected.
+        spare.state = Reg(4);
+        spare.idx = 4;
+        cell.publish(spare);
+        assert_eq!((pinned.index(), pinned.read(&())), (2, 2));
+        drop(pinned);
+        // 3 is the spare (retired unpinned by the last publish); this publish
+        // reclaims 2 and 4 as well and keeps only the newest, 4.
+        cell.publish(snap(Reg(5), 5));
+        assert_eq!(cell.take_spare().map(|s| s.index()), Some(4));
+        assert!(cell.retired.lock().limbo.is_empty());
+        assert_eq!(cell.load_protected(0).unwrap().read(&()), 5);
     }
 
     #[test]
@@ -335,7 +430,7 @@ mod tests {
     #[test]
     fn concurrent_readers_never_observe_freed_state() {
         let cell = std::sync::Arc::new(SnapshotCell::<Reg>::new(4, 0));
-        cell.publish(ReadSnapshot::new(Reg(0), 0));
+        cell.publish(snap(Reg(0), 0));
         std::thread::scope(|scope| {
             for slot in 0..4 {
                 let cell = cell.clone();
@@ -355,7 +450,7 @@ mod tests {
             let cell = cell.clone();
             scope.spawn(move || {
                 for v in 1..=5_000u64 {
-                    cell.publish(ReadSnapshot::new(Reg(v), v));
+                    cell.publish(snap(Reg(v), v));
                 }
             });
         });

@@ -233,6 +233,16 @@ mod tests {
     use std::sync::Arc;
 
     fn sharded_kv(shards: usize, processes: usize, group: usize) -> ShardedDurable<KvSpec> {
+        let pmem = PmemConfig::with_capacity(256 << 20).apply_pending_at_crash(0.0);
+        sharded_kv_on(shards, processes, group, pmem)
+    }
+
+    fn sharded_kv_on(
+        shards: usize,
+        processes: usize,
+        group: usize,
+        pmem: PmemConfig,
+    ) -> ShardedDurable<KvSpec> {
         let config = ShardConfig::named("kv")
             .shards(shards)
             .base(
@@ -241,7 +251,7 @@ mod tests {
                     .log_capacity(4096)
                     .group_persist(group),
             )
-            .pmem(PmemConfig::with_capacity(256 << 20).apply_pending_at_crash(0.0));
+            .pmem(pmem);
         ShardedDurable::<KvSpec>::create(config, Arc::new(HashRouter::new(shards)))
             .expect("create sharded kv")
     }
@@ -351,9 +361,16 @@ mod tests {
     fn combined_submission_amortizes_fences_across_threads() {
         // 4 worker threads share per-shard combiners: every submit is durable
         // when it returns (unlike Grouped, which buffers caller-side), yet the
-        // aggregate fence count falls well below one per update.
+        // aggregate fence count falls well below one per update. A 200 us
+        // fence makes submits overlap on any scheduler: while one combiner
+        // sleeps in its fence, the other threads post their operations, and
+        // the next combiner serves them together. With free fences the
+        // threads can run one after another and every batch holds one op.
         let threads = 4;
-        let object = sharded_kv(2, threads + 1, threads);
+        let pmem = PmemConfig::with_capacity(256 << 20)
+            .apply_pending_at_crash(0.0)
+            .fence_penalty(Duration::from_micros(200));
+        let object = sharded_kv_on(2, threads + 1, threads, pmem);
         let summary = run_sharded_kv_workload(
             &object,
             threads,

@@ -22,6 +22,7 @@ use crate::policy::PmemConfig;
 use crate::region::{CrashToken, CrashTrigger};
 use crate::stats::FenceStats;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A persistence substrate for [`crate::NvmPool`].
 ///
@@ -239,13 +240,19 @@ impl BackendSpec {
 ///
 /// Honors `ONLL_FILE_TEST_DIR` (CI points it at a tmpfs or a real disk in
 /// turn); defaults to the system temp dir. The directory is created, and is
-/// unique per label + process so concurrent test binaries do not collide.
+/// unique per call — label, process and a per-process call counter — so
+/// neither concurrent test binaries nor the parallel tests of one binary
+/// share a directory, even when they pass the same label. Callers that need
+/// the same directory again (to reopen after a simulated crash) keep the path
+/// this returns.
 pub fn scratch_dir(label: &str) -> Result<PathBuf, NvmError> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let base = match std::env::var_os("ONLL_FILE_TEST_DIR") {
         Some(dir) => PathBuf::from(dir),
         None => std::env::temp_dir(),
     };
-    let dir = base.join(format!("onll-{label}-{}", std::process::id()));
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = base.join(format!("onll-{label}-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| NvmError::Io {
         path: dir.display().to_string(),
         message: e.to_string(),
@@ -260,7 +267,7 @@ pub struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     /// Creates (and owns) a scratch directory for `label`; see [`scratch_dir`]
-    /// for the location rules (`ONLL_FILE_TEST_DIR`, per-process uniqueness).
+    /// for the location rules (`ONLL_FILE_TEST_DIR`, per-call uniqueness).
     pub fn new(label: &str) -> Result<Self, NvmError> {
         scratch_dir(label).map(ScratchDir)
     }
@@ -335,7 +342,13 @@ mod tests {
         let b = scratch_dir("unit-b").unwrap();
         assert!(a.is_dir());
         assert_ne!(a, b);
-        let _ = std::fs::remove_dir_all(&a);
-        let _ = std::fs::remove_dir_all(&b);
+        // Unique per call, not only per label: two parallel tests passing one
+        // label must not share a pool file.
+        let a2 = scratch_dir("unit-a").unwrap();
+        assert!(a2.is_dir());
+        assert_ne!(a, a2);
+        for dir in [a, a2, b] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

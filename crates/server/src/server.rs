@@ -31,7 +31,7 @@ use nvm_sim::{BackendSpec, Counter, FaultPlan, Histogram, PmemConfig, Telemetry}
 use onll::{OnllConfig, OnllError, ResolveOutcome};
 use onll_shard::{HashRouter, ShardConfig, ShardedDurable, ShardedService};
 use std::io::BufWriter;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -48,8 +48,13 @@ pub const TEST_PANIC_KEY_ENV: &str = "ONLL_TEST_PANIC_KEY";
 /// (a client that stops draining its socket must not pin a handler forever).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Granularity of the idle/shutdown poll in the per-connection read loop.
+/// Granularity of the idle/shutdown poll in the per-connection read loop and
+/// in the accept loop's shutdown watcher.
 const POLL_QUANTUM: Duration = Duration::from_millis(25);
+
+/// How long `serve` waits for its own probe connection to reach the
+/// listener before it falls back to polling accept.
+const WAKE_PROBE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration of an [`OnllServer`]'s file-backed sharded store.
 #[derive(Debug, Clone)]
@@ -388,16 +393,11 @@ impl OnllServer {
     /// checkpoint, and returns `Ok(())`. Returns `Err` only if the listener
     /// itself fails.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.health.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => self.admit(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        let wake_addr = wake_address(listener.local_addr()?);
+        if self.wake_reaches(&listener, wake_addr)? {
+            self.accept_blocking(&listener, wake_addr)?;
+        } else {
+            self.accept_polling(&listener)?;
         }
         drop(listener);
         // Handlers observe the shutdown flag within one poll quantum and exit
@@ -415,6 +415,85 @@ impl OnllServer {
         };
         for handle in checkpointers {
             let _ = handle.join();
+        }
+        Ok(())
+    }
+
+    /// Connects to `wake_addr` once and waits (bounded) for that probe to
+    /// come out of `listener`, admitting any client queued ahead of it. True
+    /// when the probe arrived: the blocking accept loop can then be woken by
+    /// the same connect. Leaves the listener blocking when true, non-blocking
+    /// when false.
+    fn wake_reaches(&self, listener: &TcpListener, wake_addr: SocketAddr) -> std::io::Result<bool> {
+        listener.set_nonblocking(true)?;
+        let Ok(probe) = TcpStream::connect_timeout(&wake_addr, WAKE_PROBE_TIMEOUT) else {
+            return Ok(false);
+        };
+        let probe_addr = probe.local_addr()?;
+        let deadline = Instant::now() + WAKE_PROBE_TIMEOUT;
+        loop {
+            match listener.accept() {
+                Ok((_, peer)) if peer == probe_addr => break,
+                Ok((stream, _)) => self.admit(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Ok(false);
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        listener.set_nonblocking(false)?;
+        Ok(true)
+    }
+
+    /// Blocks in `accept`, so a connection is admitted the moment it
+    /// arrives. To stop it, a watcher thread checks for the shutdown request
+    /// once per [`POLL_QUANTUM`] and then connects to the listener itself;
+    /// the loop sees the flag on that wake-up connection and drops it.
+    fn accept_blocking(
+        &self,
+        listener: &TcpListener,
+        wake_addr: SocketAddr,
+    ) -> std::io::Result<()> {
+        let accept_ended = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !accept_ended.load(Ordering::SeqCst) {
+                    if self.health.shutdown_requested() && TcpStream::connect(wake_addr).is_ok() {
+                        break;
+                    }
+                    std::thread::sleep(POLL_QUANTUM);
+                }
+            });
+            let result = loop {
+                match listener.accept() {
+                    Ok(_) if self.health.shutdown_requested() => break Ok(()),
+                    Ok((stream, _)) => self.admit(stream),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => break Err(e),
+                }
+            };
+            accept_ended.store(true, Ordering::SeqCst);
+            result
+        })
+    }
+
+    /// Polls the non-blocking listener every 5 ms until shutdown is
+    /// requested: the fallback when a connection to the listener's own
+    /// address does not reach it, so a blocked accept could not be woken.
+    fn accept_polling(&self, listener: &TcpListener) -> std::io::Result<()> {
+        while !self.health.shutdown_requested() {
+            match listener.accept() {
+                Ok((stream, _)) => self.admit(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(())
     }
@@ -469,6 +548,19 @@ impl OnllServer {
     pub fn config(&self) -> &ServerConfig {
         &self.config
     }
+}
+
+/// Where a connection reaches a listener bound to `addr`: the loopback
+/// address of the same family when it is bound to all interfaces, `addr`
+/// itself otherwise (an IPv6 scope id and flow info are kept).
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -758,5 +850,60 @@ fn handle_connection(
             },
         };
         wire::write_reply(&mut writer, &reply)?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{SocketAddrV4, SocketAddrV6};
+
+    #[test]
+    fn wake_address_maps_only_unspecified_ips_to_loopback() {
+        let any4: SocketAddr = "0.0.0.0:4000".parse().unwrap();
+        assert_eq!(wake_address(any4), "127.0.0.1:4000".parse().unwrap());
+        let any6: SocketAddr = "[::]:4000".parse().unwrap();
+        assert_eq!(wake_address(any6), "[::1]:4000".parse().unwrap());
+        let bound4 = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::new(10, 1, 2, 3), 4000));
+        assert_eq!(wake_address(bound4), bound4);
+    }
+
+    #[test]
+    fn wake_address_keeps_the_scope_of_a_link_local_v6_listener() {
+        let ip = "fe80::1".parse().unwrap();
+        let scoped = SocketAddr::V6(SocketAddrV6::new(ip, 4000, 7, 3));
+        match wake_address(scoped) {
+            SocketAddr::V6(a) => {
+                assert_eq!((*a.ip(), a.port()), (ip, 4000));
+                assert_eq!((a.flowinfo(), a.scope_id()), (7, 3));
+            }
+            other => panic!("changed family: {other}"),
+        }
+    }
+
+    #[test]
+    fn wake_probe_falls_back_to_polling_when_the_address_is_unreachable() {
+        let dir = nvm_sim::ScratchDir::new("wake-probe").unwrap();
+        let mut config = ServerConfig::new(dir.path());
+        config.max_clients = 2;
+        config.max_connections = 4;
+        config.log_capacity = 64;
+        config.pmem_bytes = 8 << 20;
+        let (server, _) = OnllServer::open(config).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let wake_addr = wake_address(listener.local_addr().unwrap());
+        assert!(server.wake_reaches(&listener, wake_addr).unwrap());
+
+        // An address nothing listens on: the probe fails and the listener is
+        // left non-blocking for the polling loop.
+        let dead_addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        assert!(!server.wake_reaches(&listener, dead_addr).unwrap());
+        let err = listener.accept().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        server.health().request_shutdown();
+        server.accept_polling(&listener).unwrap();
     }
 }

@@ -40,7 +40,7 @@
 //! | nvm-sim (file) | `file.fence_ns`, `file.fsync_ns` |
 //! | persist-log | `log.entry_bytes`, `log.ops_per_entry` |
 //! | core phases | `phase.order_ns`, `phase.persist_ns`, `phase.linearize_ns`, `phase.response_ns`, `phase.update_ns` |
-//! | core/combine | `combine.batch_size`, `combine.submit_ns`, `combine.resolve_hits`, `combine.resolve_misses` |
+//! | core/combine | `combine.batch_size`, `combine.submit_ns`, `combine.resolve_hits`, `combine.resolve_misses`, `combine.snapshot_publish_ns`, `combine.snapshot_clones` |
 //! | checkpoint | `ckpt.stage_ns`, `ckpt.publish_ns`, `ckpt.truncate_ns`, `ckpt.truncated_bytes` |
 //!
 //! [`Telemetry::snapshot`] freezes everything into a [`TelemetrySnapshot`],

@@ -18,7 +18,10 @@
 //! separately from PUT latencies (`get_p50_us`/`get_p99_us` vs
 //! `p50_us`/`p99_us`), and `throughput_ops_per_s` and `fences_per_op` keep
 //! counting writes only — snapshot reads are fence-free by construction, so
-//! folding them in would flatter the ratio.
+//! folding them in would flatter the ratio. `throughput_ops_per_s` is each
+//! connection's PUTs divided by the time it spent in PUTs, summed over the
+//! connections, so the GETs' time does not dilute it; `elapsed_s` is the
+//! round's wall time, GETs included.
 //!
 //! ```text
 //! onll_load --addr 127.0.0.1:PORT [--conns 1,2,4,8] [--ops-per-conn 300]
@@ -208,6 +211,19 @@ fn run_round(addr: &str, connections: usize, ops_per_conn: usize, read_pct: u64)
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let elapsed_s = started.elapsed().as_secs_f64();
+    // PUTs per second of PUT time, per connection (they run side by side, so
+    // their rates add up).
+    let throughput = results
+        .iter()
+        .map(|(lat, _, _)| {
+            let busy_s = lat.iter().sum::<u64>() as f64 / 1e9;
+            if busy_s > 0.0 {
+                lat.len() as f64 / busy_s
+            } else {
+                0.0
+            }
+        })
+        .sum();
 
     let mut probe = WireClient::connect_with_retry(addr, 0, 10).expect("connect stats probe");
     let after = probe.stats().expect("stats after round");
@@ -233,7 +249,7 @@ fn run_round(addr: &str, connections: usize, ops_per_conn: usize, read_pct: u64)
         elapsed_s,
         // Write throughput: snapshot gets are counted and timed separately so
         // the headline number stays comparable across read mixes.
-        throughput: ops as f64 / elapsed_s,
+        throughput,
         p50_us: percentile_us(&all, 0.50),
         p99_us: percentile_us(&all, 0.99),
         get_p50_us: percentile_us(&all_gets, 0.50),
