@@ -131,7 +131,7 @@ struct ServiceShared<S: SequentialSpec> {
     durable: Durable<S>,
     /// The commit lock *is* the combiner's process handle: winning the lock is
     /// winning the combiner election, and every batch flows through this one
-    /// handle's `commit_batch` → `persist_fuzzy_window` path.
+    /// handle's `commit` → `persist_fuzzy_window` path.
     combiner: Mutex<ProcessHandle<S>>,
     slots: Box<[Slot<S>]>,
     /// Largest batch one combining pass may drain: `min(clients,
@@ -268,8 +268,11 @@ impl<S: SequentialSpec> ServiceShared<S> {
             return 0;
         }
         let served = records.len();
-        match handle.commit_batch(records) {
-            Ok(replies) => {
+        let mut replies = Vec::with_capacity(served);
+        match handle.commit(records.into_iter(), |op_id, value| {
+            replies.push((op_id, value))
+        }) {
+            Ok(()) => {
                 debug_assert_eq!(replies.len(), batch_slots.len());
                 // Publish-after-linearize, publish-before-ack: the batch is
                 // linearized, and no waiter has seen its reply yet. A client
@@ -286,7 +289,7 @@ impl<S: SequentialSpec> ServiceShared<S> {
                 // The batch failed before linearizing anything; every waiter
                 // learns the same error. Pre-order failures (full log, group
                 // too large, poisoned commit path) are safe to re-submit.
-                // Persist failures were already retried inside `commit_batch`;
+                // Persist failures were already retried inside `commit`;
                 // when they still fail the commit path poisons itself, so a
                 // resubmission fails fast instead of double-applying.
                 for &i in &batch_slots {
@@ -318,7 +321,7 @@ impl<S: SequentialSpec> ServiceShared<S> {
         let Some(clone_view) = self.snapshot_fn.get() else {
             return;
         };
-        if self.snapshots.current_index() == Some(handle.sync_latest()) {
+        if self.snapshots.current_index() == Some(handle.sync()) {
             return;
         }
         let timer = self.publish_hist.start_timer();
@@ -522,21 +525,13 @@ impl<S: SequentialSpec> DurableService<S> {
         self.inner.combine_pass(&mut handle, None)
     }
 
-    /// Reads through the combiner handle's local view (blocking on the commit
-    /// lock, zero persistent fences). The view advances incrementally, so a
-    /// service read is O(missing suffix), not O(history).
-    ///
-    /// Alias for [`DurableService::read_latest`]; prefer
+    /// The **linearizable** read path: acquires the commit lock and reads the
+    /// newest linearized state through the combiner handle's local view, which
+    /// advances incrementally (O(missing suffix), not O(history)). Zero
+    /// persistent fences (Theorem 5.1's read cost), but serializes behind
+    /// in-flight write batches and behind other locked readers; prefer
     /// [`DurableService::read_snapshot`] for read paths that must not contend
     /// with the commit lock.
-    pub fn read(&self, op: &S::ReadOp) -> S::Value {
-        self.read_latest(op)
-    }
-
-    /// The **linearizable** read path: acquires the commit lock and reads the
-    /// newest linearized state. Zero persistent fences (Theorem 5.1's read
-    /// cost), but serializes behind in-flight write batches and behind other
-    /// locked readers.
     pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
         self.inner.read_locked(op)
     }
@@ -855,11 +850,6 @@ impl<S: SequentialSpec> ServiceClient<S> {
         }
     }
 
-    /// Reads through the service — alias for [`ServiceClient::read_latest`].
-    pub fn read(&self, op: &S::ReadOp) -> S::Value {
-        self.read_latest(op)
-    }
-
     /// The linearizable read path — see [`DurableService::read_latest`].
     pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
         self.service.read_locked(op)
@@ -1083,7 +1073,7 @@ mod tests {
         assert_eq!(client.last_op_id(), Some(op_id));
         assert_eq!(service.resolve(op_id), ResolveOutcome::Executed(5));
         assert!(service.was_linearized(op_id));
-        assert_eq!(service.read(&()), 5);
+        assert_eq!(service.read_latest(&()), 5);
     }
 
     #[test]
@@ -1107,7 +1097,7 @@ mod tests {
             (va, vb) == (1, 3) || (va, vb) == (3, 2),
             "unexpected values ({va}, {vb})"
         );
-        assert_eq!(service.read(&()), 3);
+        assert_eq!(service.read_latest(&()), 3);
         assert_eq!(service.batch_stats(), (1, 2));
         assert_eq!(service.resolve(id_a), ResolveOutcome::Executed(va));
         assert_eq!(service.resolve(id_b), ResolveOutcome::Executed(vb));
@@ -1130,7 +1120,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(service.read(&()), (threads * per_thread) as i64);
+        assert_eq!(service.read_latest(&()), (threads * per_thread) as i64);
         let (batches, ops) = service.batch_stats();
         assert_eq!(ops, (threads * per_thread) as u64);
         // Every batch pays exactly one fence, and batches never exceed ops.
@@ -1175,7 +1165,7 @@ mod tests {
         let mut c = service.client().unwrap();
         let op_id = c.submit_async(Add(7));
         drop(c); // must not leak the pending op into the next owner
-        assert_eq!(service.read(&()), 7);
+        assert_eq!(service.read_latest(&()), 7);
         assert_eq!(service.resolve(op_id), ResolveOutcome::Executed(7));
         let mut c = service.client().unwrap();
         assert_eq!(c.submit(Add(1)).unwrap().0, 8);
@@ -1236,7 +1226,7 @@ mod tests {
         client.submit(Add(1)).unwrap();
         assert!(matches!(client.submit(Add(1)), Err(OnllError::LogFull)));
         // The failed operation was never linearized.
-        assert_eq!(service.read(&()), 2);
+        assert_eq!(service.read_latest(&()), 2);
     }
 
     #[test]

@@ -15,11 +15,6 @@ pub struct OnllConfig {
     pub max_processes: usize,
     /// Capacity, in entries, of each per-process persistent log.
     pub log_capacity_entries: usize,
-    /// If `true`, each handle maintains a materialized *local view* of the object
-    /// state and reads replay only the missing suffix of the execution trace
-    /// (Section 8 read-performance extension). If `false`, every read replays the
-    /// whole trace prefix, exactly as in the base construction.
-    pub use_local_views: bool,
     /// Ops-count checkpoint trigger: checkpoint whenever at least this many
     /// updates have been linearized past the newest published checkpoint
     /// watermark (requires the spec to implement `SnapshotSpec`; the trigger is
@@ -61,9 +56,9 @@ pub struct OnllConfig {
     /// slot and sequence number unconsumed, so each retry overwrites exactly
     /// the same entry — retrying is idempotent. If every attempt fails the
     /// commit path **poisons itself** and all further updates are rejected;
-    /// see `ProcessHandle::try_update` for why that is required for
-    /// exactly-once (the ordered-but-unpersisted window must never be
-    /// linearized past).
+    /// see `ProcessHandle::persist_fuzzy_window_with_retry` for why that is
+    /// required for exactly-once (the ordered-but-unpersisted window must
+    /// never be linearized past).
     pub persist_retries: u32,
 }
 
@@ -73,7 +68,6 @@ impl Default for OnllConfig {
             name: "onll-object".to_string(),
             max_processes: 8,
             log_capacity_entries: 4096,
-            use_local_views: true,
             checkpoint_interval: None,
             checkpoint_log_bytes: None,
             checkpoint_slot_bytes: 64 * 1024,
@@ -104,12 +98,6 @@ impl OnllConfig {
     /// Sets the per-process log capacity in entries.
     pub fn log_capacity(mut self, entries: usize) -> Self {
         self.log_capacity_entries = entries;
-        self
-    }
-
-    /// Enables or disables local-view reads.
-    pub fn local_views(mut self, enabled: bool) -> Self {
-        self.use_local_views = enabled;
         self
     }
 
@@ -180,7 +168,6 @@ mod tests {
         let c = OnllConfig::default();
         assert!(c.max_processes >= 1);
         assert!(c.log_capacity_entries > 0);
-        assert!(c.use_local_views);
         assert!(c.checkpoint_interval.is_none());
         assert!(c.checkpoint_log_bytes.is_none());
         assert!(!c.checkpointing_enabled());
@@ -206,13 +193,11 @@ mod tests {
         let c = OnllConfig::named("counter")
             .max_processes(4)
             .log_capacity(128)
-            .local_views(false)
             .checkpoint_every(100)
             .checkpoint_slot_bytes(1024);
         assert_eq!(c.name, "counter");
         assert_eq!(c.max_processes, 4);
         assert_eq!(c.log_capacity_entries, 128);
-        assert!(!c.use_local_views);
         assert_eq!(c.checkpoint_interval, Some(100));
         assert_eq!(c.checkpoint_slot_bytes, 1024);
     }

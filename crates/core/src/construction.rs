@@ -260,11 +260,6 @@ impl<S: SequentialSpec> Durable<S> {
         config: OnllConfig,
         hooks: Hooks,
     ) -> Result<Self, OnllError> {
-        if config.checkpointing_enabled() && !config.use_local_views {
-            return Err(OnllError::MetadataMismatch(
-                "checkpointing requires local views to be enabled".into(),
-            ));
-        }
         // With telemetry enabled on the pool, phase-span hooks ride along with
         // whatever the caller installed; with it disabled this is the identity.
         let hooks = crate::phase_spans::install(pool.telemetry(), hooks);
@@ -687,8 +682,9 @@ impl<S: SequentialSpec> Durable<S> {
     /// Reads the object without a process handle by replaying the suffix above
     /// the newest published snapshot (or the whole trace prefix if none) up to
     /// the latest available node. No NVM access, no persistent fences. Intended
-    /// for tests, examples and one-off inspection; per-process handles with
-    /// local views are faster.
+    /// for tests, examples and one-off inspection; a process handle's read is
+    /// faster, since its local view replays only the suffix it has not yet
+    /// seen.
     pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
         self.materialize().read(op)
     }
@@ -697,8 +693,8 @@ impl<S: SequentialSpec> Durable<S> {
     /// replaying the trace suffix above the current view seed (the newest
     /// published snapshot, or the recovery/creation base). Used by tests and
     /// the checkpoint-equivalence property suite to compare recovered states
-    /// against full replays; per-process handles with local views are faster
-    /// for serving reads.
+    /// against full replays; process handles' local views are faster for
+    /// serving reads.
     pub fn materialize(&self) -> S {
         loop {
             let (seed_idx, mut state) = self.shared.view_seed();

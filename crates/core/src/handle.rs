@@ -14,15 +14,6 @@ use persist_log::{LogError, PersistentLog};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-enum ReadStrategy<S: SequentialSpec> {
-    /// Base construction: every value computation replays the trace prefix from the
-    /// sentinel ("readers traverse the entire execution trace").
-    FullReplay,
-    /// Section-8 extension: a per-process materialized state that replays only the
-    /// missing suffix.
-    LocalView(LocalView<S>),
-}
-
 /// A per-process handle on a [`crate::Durable`] object.
 ///
 /// Exactly one handle exists per process slot at a time (handles are not `Clone`;
@@ -32,7 +23,9 @@ pub struct ProcessHandle<S: SequentialSpec> {
     shared: Arc<Shared<S>>,
     pid: usize,
     log: PersistentLog,
-    strategy: ReadStrategy<S>,
+    /// Section-8 local view: a materialized state that reads and updates
+    /// bring up to date by replaying only the missing trace suffix.
+    view: LocalView<S>,
     /// Epoch-stamped writer for this process's double-buffered checkpoint area.
     checkpointer: Checkpointer,
     /// Watermark this handle last compacted its own log below (volatile cache of
@@ -52,18 +45,14 @@ pub(crate) fn new_handle<S: SequentialSpec>(
         shared.log_bases[pid],
     );
     shared.log_live_entries[pid].store(log.live_len() as u64, Ordering::Release);
-    let strategy = if shared.config.use_local_views {
-        // Seed the fresh view from the newest published snapshot, not the
-        // base: after trace-prefix reclamation the history below the snapshot
-        // is unlinked, and a base-seeded view would silently miss it. The
-        // conservative progress floor published by `try_claim` keeps
-        // reclamation from advancing past the seed until this store.
-        let (seed_idx, seed_state) = shared.view_seed();
-        shared.progress[pid].store(seed_idx, Ordering::Release);
-        ReadStrategy::LocalView(LocalView::new(seed_state, seed_idx))
-    } else {
-        ReadStrategy::FullReplay
-    };
+    // Seed the fresh view from the newest published snapshot, not the base:
+    // after trace-prefix reclamation the history below the snapshot is
+    // unlinked, and a base-seeded view would silently miss it. The
+    // conservative progress floor published by `try_claim` keeps reclamation
+    // from advancing past the seed until this store.
+    let (seed_idx, seed_state) = shared.view_seed();
+    shared.progress[pid].store(seed_idx, Ordering::Release);
+    let view = LocalView::new(seed_state, seed_idx);
     let checkpointer = Checkpointer::resume(
         shared.pool.clone(),
         shared.cp_bases[pid],
@@ -81,7 +70,7 @@ pub(crate) fn new_handle<S: SequentialSpec>(
         shared,
         pid,
         log,
-        strategy,
+        view,
         checkpointer,
         truncated_below,
         last_op_id: None,
@@ -112,13 +101,9 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     }
 
     /// Execution index this handle's local view reflects (0 / the checkpoint index
-    /// if no operation has been observed yet). With local views disabled this is
-    /// the index of the last operation whose effect this handle computed.
+    /// if no operation has been observed yet).
     pub fn view_index(&self) -> u64 {
-        match &self.strategy {
-            ReadStrategy::LocalView(v) => v.idx(),
-            ReadStrategy::FullReplay => self.shared.progress[self.pid].load(Ordering::Acquire),
-        }
+        self.view.idx()
     }
 
     /// Number of live entries in this process's persistent log.
@@ -139,47 +124,16 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         self.try_update(op).expect("ONLL update failed")
     }
 
-    /// Fallible variant of [`ProcessHandle::update`].
+    /// Fallible variant of [`ProcessHandle::update`]: a batch of one through
+    /// [`ProcessHandle::commit`].
     pub fn try_update(&mut self, op: S::UpdateOp) -> Result<S::Value, OnllError> {
-        let pid = self.pid as u32;
-        // Work through a local clone of the shared Arc so references into the trace
-        // do not pin `self` immutably across the `&mut self` calls below.
         let shared = self.shared.clone();
-        let hooks = shared.hooks.clone();
-        hooks.fire(Phase::BeforeOrder, pid);
-
-        // Refuse before ordering anything we could not persist: a poisoned
-        // commit path (an earlier window failed its fence even after retries),
-        // then reclaim ring slots covered by a newly published checkpoint and
-        // check the log can take another entry.
-        self.check_commit_poisoned()?;
-        self.compact_log_below_watermark();
-        if self.log.free_slots() == 0 {
-            return Err(OnllError::LogFull);
-        }
-
-        // --- Order: fix the linearization order by appending to the trace. ---
-        let seq = shared.last_op_seq[self.pid].fetch_add(1, Ordering::AcqRel) + 1;
-        let op_id = OpId::new(pid, seq);
-        self.last_op_id = Some(op_id);
-        let node = shared.trace.insert(Some(Record::new(op_id, op)));
-        hooks.fire(Phase::AfterOrder, pid);
-
-        // --- Persist: append the fuzzy window (own op + unpersisted predecessors)
-        //     to the private persistent log. One persistent fence. ---
-        self.persist_fuzzy_window_with_retry(node)?;
-
-        // --- Linearize: make the operation visible to readers. ---
-        hooks.fire(Phase::BeforeLinearize, pid);
-        shared.trace.set_available(node);
-        hooks.fire(Phase::AfterLinearize, pid);
-
-        // Return value: computed on the object state immediately after this update,
-        // according to the order fixed in the order stage.
-        let value = self.value_after(node);
-        self.publish_progress();
-        hooks.fire(Phase::BeforeResponse, pid);
-        Ok(value)
+        let mut value = None;
+        self.commit(
+            own_records(&shared, self.pid, std::iter::once(op)),
+            |_, v| value = Some(v),
+        )?;
+        Ok(value.expect("a committed batch of one has one reply"))
     }
 
     /// Persists a *group* of update operations with **one** persistent fence
@@ -204,115 +158,115 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         &mut self,
         ops: impl IntoIterator<Item = S::UpdateOp>,
     ) -> Result<Vec<S::Value>, OnllError> {
-        let pid = self.pid as u32;
         let ops: Vec<S::UpdateOp> = ops.into_iter().collect();
-        // Validate the size before drawing identities, so an oversized group
-        // leaves no gap in this slot's sequence numbers.
-        let max = self.shared.config.max_group_ops;
-        if ops.len() > max {
-            return Err(OnllError::GroupTooLarge {
-                len: ops.len(),
-                max,
-            });
-        }
-        let records: Vec<Record<S::UpdateOp>> = ops
-            .into_iter()
-            .map(|op| {
-                let seq = self.shared.last_op_seq[self.pid].fetch_add(1, Ordering::AcqRel) + 1;
-                Record::new(OpId::new(pid, seq), op)
-            })
-            .collect();
-        let replies = self.commit_batch(records)?;
-        // Only a committed group moves last_op_id: after e.g. LogFull it must
-        // keep naming the last operation that was actually ordered, so the
-        // post-crash detectable-execution idiom (last_op_id + was_linearized)
-        // stays truthful. (A failed group does burn the drawn sequence
-        // numbers — identities stay unique, gaps are harmless.)
-        if let Some((op_id, _)) = replies.last() {
-            self.last_op_id = Some(*op_id);
-        }
-        Ok(replies.into_iter().map(|(_, value)| value).collect())
+        let mut values = Vec::with_capacity(ops.len());
+        let shared = self.shared.clone();
+        self.commit(own_records(&shared, self.pid, ops.into_iter()), |_, v| {
+            values.push(v)
+        })?;
+        Ok(values)
     }
 
-    /// Orders, persists and linearizes a batch of *pre-identified* operations
-    /// as one unit: one log entry, **one persistent fence**, one linearization
-    /// sweep. Returns `(identity, value)` per operation, values computed on
-    /// the state immediately after each operation in linearization order.
+    /// The commit path: orders, persists and linearizes `records` as one unit
+    /// — one log entry, **one persistent fence**, one linearization sweep —
+    /// and hands `reply` each operation's identity and value, computed on the
+    /// state immediately after it, in linearization order.
     ///
-    /// This is the single commit path behind [`ProcessHandle::try_update_group`]
-    /// (identities drawn from this handle's process slot) and the combiner of
+    /// Every update flows through here: [`ProcessHandle::try_update`] (a
+    /// batch of one), [`ProcessHandle::try_update_group`] (identities from
+    /// this handle's slot, drawn lazily by `own_records`) and the combiner of
     /// [`crate::DurableService`] (identities pre-assigned by the submitting
-    /// clients, from *their* claimed slots) — there is deliberately no second
-    /// persist code path to keep correct: everything flows through
-    /// `persist_fuzzy_window`.
+    /// clients, from *their* claimed slots).
     ///
-    /// Fails **before ordering anything** (group too large, log full, commit
-    /// path poisoned), so a failed batch leaves no trace of itself and the
-    /// caller can retry — except when the persist itself fails after
-    /// exhausting `OnllConfig::persist_retries`, which poisons the commit
-    /// path so the orphaned window can never be linearized past (see
+    /// Fails **before ordering anything** (group too large, commit path
+    /// poisoned, log full), so a refused batch leaves no trace of itself,
+    /// draws no sequence number and does not move `last_op_id`; the caller
+    /// can retry. Once the batch is ordered, `last_op_id` names its newest
+    /// operation from this handle's own slot, even if the persist then fails:
+    /// the operation is in the trace, and detectable execution must be able
+    /// to ask about it. A persist that still fails after
+    /// `OnllConfig::persist_retries` poisons the commit path (see
     /// [`ProcessHandle::persist_fuzzy_window_with_retry`]).
-    pub(crate) fn commit_batch(
+    pub(crate) fn commit(
         &mut self,
-        records: Vec<Record<S::UpdateOp>>,
-    ) -> Result<Vec<(OpId, S::Value)>, OnllError> {
-        if records.is_empty() {
-            return Ok(Vec::new());
+        records: impl ExactSizeIterator<Item = Record<S::UpdateOp>>,
+        mut reply: impl FnMut(OpId, S::Value),
+    ) -> Result<(), OnllError> {
+        let len = records.len();
+        if len == 0 {
+            return Ok(());
         }
         let max = self.shared.config.max_group_ops;
-        if records.len() > max {
-            return Err(OnllError::GroupTooLarge {
-                len: records.len(),
-                max,
-            });
+        if len > max {
+            return Err(OnllError::GroupTooLarge { len, max });
         }
         let pid = self.pid as u32;
+        // Work through a local clone of the shared Arc so references into the trace
+        // do not pin `self` immutably across the `&mut self` calls below.
         let shared = self.shared.clone();
         let hooks = shared.hooks.clone();
         hooks.fire(Phase::BeforeOrder, pid);
 
-        // The whole batch lands in one log entry; refuse before ordering
-        // anything we could not persist (poisoned commit path, full log —
-        // see `try_update` for the same gate), reclaiming checkpoint-covered
-        // slots first.
+        // Refuse before ordering anything we could not persist: a poisoned
+        // commit path (an earlier window failed its fence even after retries),
+        // then reclaim ring slots covered by a newly published checkpoint and
+        // check the log can take another entry.
         self.check_commit_poisoned()?;
         self.compact_log_below_watermark();
         if self.log.free_slots() == 0 {
             return Err(OnllError::LogFull);
         }
 
-        // --- Order: append every operation of the batch to the trace. ---
-        let nodes: Vec<_> = records
-            .into_iter()
-            .map(|record| {
-                let op_id = record.op_id;
-                let node = shared.trace.insert(Some(record));
-                (op_id, node)
-            })
-            .collect();
+        // --- Order: fix the linearization order by appending to the trace. The
+        //     oldest node is kept apart, so a batch of one allocates nothing. ---
+        let mut first = None;
+        let mut rest = Vec::with_capacity(len - 1);
+        for record in records {
+            // A handle owns its slot exclusively: an identity with its pid
+            // was drawn by it.
+            if record.op_id.pid == pid {
+                self.last_op_id = Some(record.op_id);
+            }
+            let node = shared.trace.insert(Some(record));
+            if first.is_none() {
+                first = Some(node);
+            } else {
+                rest.push(node);
+            }
+        }
+        let first = first.expect("batch is non-empty");
+        let nodes = || std::iter::once(first).chain(rest.iter().copied());
         hooks.fire(Phase::AfterOrder, pid);
 
-        // --- Persist: one log entry covering the batch's fuzzy window (the whole
-        //     batch plus unpersisted predecessors). One persistent fence. ---
-        let newest = nodes.last().expect("batch is non-empty").1;
-        self.persist_fuzzy_window_with_retry(newest)?;
+        // --- Persist: one log entry covering the fuzzy window (the whole batch
+        //     plus unpersisted predecessors). One persistent fence. ---
+        self.persist_fuzzy_window_with_retry(rest.last().copied().unwrap_or(first))?;
 
-        // --- Linearize: sweep the batch's available flags oldest to newest, so
+        // --- Linearize: sweep the available flags oldest to newest, so
         //     linearized prefixes are always contiguous. ---
         hooks.fire(Phase::BeforeLinearize, pid);
-        for (_, node) in &nodes {
+        for node in nodes() {
             shared.trace.set_available(node);
         }
         hooks.fire(Phase::AfterLinearize, pid);
 
-        // Return values: one per operation, computed on the state right after it.
-        let replies = nodes
-            .iter()
-            .map(|(op_id, node)| (*op_id, self.value_after(node)))
-            .collect();
+        // Return values: one per operation, computed on the state right after
+        // it according to the order fixed in the order stage.
+        for node in nodes() {
+            let op_id = node
+                .op()
+                .as_ref()
+                .expect("ordered nodes carry a record")
+                .op_id;
+            let value = self
+                .view
+                .advance_to(&shared.trace, node)
+                .expect("the handle's own new operation is always ahead of its view");
+            reply(op_id, value);
+        }
         self.publish_progress();
         hooks.fire(Phase::BeforeResponse, pid);
-        Ok(replies)
+        Ok(())
     }
 
     /// Panicking variant of [`ProcessHandle::try_update_group`].
@@ -324,15 +278,9 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// Persists the fuzzy window ending at `newest` — the caller's newly
     /// ordered operation(s) plus consecutively older not-yet-linearized
     /// operations (Listing 2, `getFuzzyOps`) — as **one** log entry with
-    /// **one** persistent fence. This is the persist stage shared by
-    /// [`ProcessHandle::try_update`] and [`ProcessHandle::try_update_group`].
+    /// **one** persistent fence: the persist stage of [`ProcessHandle::commit`].
     ///
-    /// Allocation-free on the steady path: the trace is walked directly (no
-    /// collected node list) and each record is encoded straight into the log's
-    /// reusable entry buffer, so the entry's occupied bytes — the only bytes
-    /// written and flushed — are assembled without any intermediate
-    /// `Vec<Vec<u8>>`/`Vec<&[u8]>`.
-    /// [`ProcessHandle::persist_fuzzy_window`] with fault absorption: a failed
+    /// This is [`ProcessHandle::persist_fuzzy_window`] with fault absorption: a failed
     /// publish leaves the log's slot and sequence counters unconsumed, so the
     /// append is retried — overwriting exactly the same entry — up to
     /// `OnllConfig::persist_retries` extra times. Transient backend faults
@@ -382,6 +330,11 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         Ok(())
     }
 
+    /// One attempt at the fuzzy-window append. Allocation-free on the steady
+    /// path: the trace is walked directly (no collected node list) and each
+    /// record is encoded straight into the log's reusable entry buffer, so the
+    /// entry's occupied bytes — the only bytes written and flushed — are
+    /// assembled without any intermediate `Vec<Vec<u8>>`/`Vec<&[u8]>`.
     fn persist_fuzzy_window(
         &mut self,
         newest: &TraceNode<Option<Record<S::UpdateOp>>>,
@@ -417,145 +370,65 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// Performs a read-only operation (Listing 4).
     ///
     /// Cost in the paper's model: **zero persistent fences** — the read touches
-    /// neither NVM nor shared mutable memory; it only traverses the transient trace
-    /// (or, with local views, replays the missing suffix into process-private
-    /// state).
+    /// neither NVM nor shared mutable memory; it replays the missing trace
+    /// suffix into this handle's process-private local view.
     pub fn read(&mut self, op: &S::ReadOp) -> S::Value {
         let pid = self.pid as u32;
         let hooks = self.shared.hooks.clone();
         hooks.fire(Phase::BeforeReadSnapshot, pid);
-        let node = self.shared.trace.latest_available();
-        let value = match &mut self.strategy {
-            ReadStrategy::LocalView(view) => {
-                view.advance_to(&self.shared.trace, node);
-                view.state().read(op)
-            }
-            ReadStrategy::FullReplay => {
-                let state = self.replay_to(node);
-                state.read(op)
-            }
-        };
-        self.publish_progress();
+        self.sync();
+        let value = self.view.state().read(op);
         hooks.fire(Phase::BeforeReadResponse, pid);
         value
     }
 
-    /// Computes the return value of the update recorded at `node`.
-    fn value_after(&mut self, node: &TraceNode<Option<Record<S::UpdateOp>>>) -> S::Value {
-        match &mut self.strategy {
-            ReadStrategy::LocalView(view) => view
-                .advance_to(&self.shared.trace, node)
-                .expect("the handle's own new operation is always ahead of its view"),
-            ReadStrategy::FullReplay => {
-                let mut state = (self.shared.base_state)();
-                let mut last = None;
-                for n in self
-                    .shared
-                    .trace
-                    .nodes_between(self.shared.base_index, node)
-                {
-                    if let Some(record) = n.op() {
-                        last = Some(state.apply(&record.op));
-                    }
-                }
-                last.expect("at least this handle's own operation is replayed")
-            }
-        }
-    }
-
-    /// Replays the trace prefix ending at `node` from the base state.
-    fn replay_to(&self, node: &TraceNode<Option<Record<S::UpdateOp>>>) -> S {
-        let mut state = (self.shared.base_state)();
-        for n in self
-            .shared
-            .trace
-            .nodes_between(self.shared.base_index, node)
-        {
-            if let Some(record) = n.op() {
-                state.apply(&record.op);
-            }
-        }
-        state
-    }
-
     fn publish_progress(&self) {
-        if let ReadStrategy::LocalView(view) = &self.strategy {
-            self.shared.progress[self.pid].store(view.idx(), Ordering::Release);
-        }
+        self.shared.progress[self.pid].store(self.view.idx(), Ordering::Release);
     }
 
     /// Advances this handle's local view to the latest linearized operation
-    /// without performing a read operation, and returns the view's new execution
-    /// index. Background checkpointers use this to materialize fresh state to
-    /// snapshot; for full-replay handles it only publishes progress.
+    /// without performing a read operation, and returns the view's new
+    /// execution index — the index a snapshot of the view taken now covers.
+    /// Background checkpointers and the snapshot publisher of
+    /// [`crate::DurableService`] use this to materialize fresh state.
     pub fn sync(&mut self) -> u64 {
-        self.sync_latest();
-        self.view_index()
-    }
-
-    /// [`ProcessHandle::sync`], returning the execution index a snapshot
-    /// taken now covers — the view's for local views, the latest linearized
-    /// operation's for full-replay handles.
-    pub(crate) fn sync_latest(&mut self) -> u64 {
         let node = self.shared.trace.latest_available();
-        let idx = match &mut self.strategy {
-            ReadStrategy::LocalView(view) => {
-                view.advance_to(&self.shared.trace, node);
-                view.idx()
-            }
-            ReadStrategy::FullReplay => node.idx(),
-        };
+        self.view.advance_to(&self.shared.trace, node);
         self.publish_progress();
-        idx
+        self.view.idx()
     }
 
     /// Starts journaling the operations this handle's view applies from its
     /// current index on (dropping earlier entries), so
     /// [`ProcessHandle::catch_up`] can bring snapshots taken since up to
-    /// date. A no-op for full-replay handles, which keep no view.
+    /// date.
     pub(crate) fn start_journal(&mut self) {
-        if let ReadStrategy::LocalView(view) = &mut self.strategy {
-            view.start_journal();
-        }
+        self.view.start_journal();
     }
 
     /// Brings `snapshot`, an earlier snapshot of this handle's view, up to
     /// the view's index by replaying the view's journal — O(operations in
     /// between), where [`ProcessHandle::snapshot_state`] is O(|state|).
     /// Returns `false`, leaving `snapshot` untouched, when the journal cannot
-    /// cover the gap (no journal, a full-replay handle, or entries dropped).
+    /// cover the gap (no journal, or entries dropped).
     pub(crate) fn catch_up(&mut self, snapshot: &mut ReadSnapshot<S>) -> bool {
-        let ReadStrategy::LocalView(view) = &mut self.strategy else {
-            return false;
-        };
-        if !view.catch_up(&mut snapshot.state, snapshot.idx) {
+        if !self.view.catch_up(&mut snapshot.state, snapshot.idx) {
             return false;
         }
-        snapshot.idx = view.idx();
+        snapshot.idx = self.view.idx();
         true
     }
 
     /// Materializes an owned copy of the state at the latest linearized
     /// operation plus that operation's execution index — the raw material for
-    /// a published [`crate::ReadSnapshot`].
-    ///
-    /// With local views (the default) this is a clone of the already-advanced
-    /// view state: `O(|state|)`, no trace traversal beyond the newest suffix.
-    /// Full-replay handles (`use_local_views = false`) fall back to replaying
-    /// the whole retained trace prefix — correct, but `O(history)`; snapshot
-    /// publication is best paired with local views.
+    /// a published [`crate::ReadSnapshot`]: a clone of the freshly synced
+    /// view, `O(|state|)`, no trace traversal beyond the newest suffix.
     pub(crate) fn snapshot_state(&mut self) -> (S, u64)
     where
         S: Clone,
     {
-        let node = self.shared.trace.latest_available();
-        match &mut self.strategy {
-            ReadStrategy::LocalView(view) => {
-                view.advance_to(&self.shared.trace, node);
-                (view.state().clone(), view.idx())
-            }
-            ReadStrategy::FullReplay => (self.replay_to(node), node.idx()),
-        }
+        let idx = self.sync();
+        (self.view.state().clone(), idx)
     }
 
     /// Truncates this handle's own log prefix below the newest *published*
@@ -602,9 +475,7 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         if !self.shared.config.checkpointing_enabled() {
             return Err(OnllError::CheckpointingDisabled);
         }
-        let ReadStrategy::LocalView(view) = &self.strategy else {
-            return Err(OnllError::CheckpointingDisabled);
-        };
+        let view = &self.view;
         let idx = view.idx();
         let mut bytes = Vec::new();
         view.state().encode_state(&mut bytes);
@@ -730,9 +601,6 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
     /// it.
     pub fn should_checkpoint(&self) -> bool {
         let cfg = &self.shared.config;
-        if !matches!(self.strategy, ReadStrategy::LocalView(_)) {
-            return false;
-        }
         let watermark = self.shared.checkpoint_watermark.load(Ordering::Acquire);
         if let Some(interval) = cfg.checkpoint_interval {
             if self.view_index().saturating_sub(watermark) >= interval {
@@ -769,6 +637,20 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         self.maybe_checkpoint()?;
         Ok(value)
     }
+}
+
+/// Stamps `ops` with identities from process slot `pid`. Lazy: each sequence
+/// number is drawn only as [`ProcessHandle::commit`] orders the operation,
+/// after its gate has passed, so a refused update or group burns none.
+fn own_records<'a, S: SequentialSpec>(
+    shared: &'a Shared<S>,
+    pid: usize,
+    ops: impl ExactSizeIterator<Item = S::UpdateOp> + 'a,
+) -> impl ExactSizeIterator<Item = Record<S::UpdateOp>> + 'a {
+    ops.map(move |op| {
+        let seq = shared.last_op_seq[pid].fetch_add(1, Ordering::AcqRel) + 1;
+        Record::new(OpId::new(pid as u32, seq), op)
+    })
 }
 
 fn log_error(e: LogError) -> OnllError {

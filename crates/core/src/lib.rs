@@ -91,6 +91,4 @@ pub use hooks::{Hooks, Phase};
 pub use local_view::LocalView;
 pub use op_id::{OpId, Record, ResolveOutcome};
 pub use snapshot::{ReadSnapshot, SnapshotGuard};
-/// Former name of [`SnapshotSpec`], kept as an alias for downstream code.
-pub use spec::SnapshotSpec as CheckpointableSpec;
 pub use spec::{replay, KeyedSpec, OpCodec, SequentialSpec, SnapshotSpec};

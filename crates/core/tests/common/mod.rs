@@ -112,3 +112,22 @@ impl SequentialSpec for ListSpec {
         self.items.clone()
     }
 }
+
+impl SnapshotSpec for ListSpec {
+    fn encode_state(&self, buf: &mut Vec<u8>) {
+        for item in &self.items {
+            buf.extend_from_slice(&item.to_le_bytes());
+        }
+    }
+
+    fn decode_state(bytes: &[u8]) -> Option<Self> {
+        if !bytes.len().is_multiple_of(4) {
+            return None;
+        }
+        let items = bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        Some(ListSpec { items })
+    }
+}

@@ -5,8 +5,9 @@
 mod common;
 
 use common::{Append, CounterOp, CounterSpec, ListSpec};
-use nvm_sim::{NvmPool, PmemConfig, WritebackPolicy};
+use nvm_sim::{FaultPlan, NvmPool, PmemConfig, WritebackPolicy};
 use onll::{Durable, Hooks, OnllConfig, OnllError, OpId, Phase, ResolveOutcome};
+use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,21 +53,159 @@ fn update_costs_exactly_one_persistent_fence_and_read_zero() {
     }
 }
 
-#[test]
-fn full_replay_mode_matches_local_view_mode() {
+/// Drives one handle-level script step by step against a from-scratch
+/// `onll::replay` of the linearized history: every update reply and every
+/// handle read must equal the replayed reference, and a refused update or
+/// group must leave `peek_next_op_id`/`last_op_id` exactly as they were.
+/// Script steps are `(kind, handle, size)`.
+fn run_replay_script(script: &[(u8, usize, usize)]) {
+    const MAX_GROUP: usize = 3;
     let p = pool();
-    let c_lv = Durable::<CounterSpec>::create(p.clone(), OnllConfig::named("lv")).unwrap();
-    let c_fr =
-        Durable::<CounterSpec>::create(p.clone(), OnllConfig::named("fr").local_views(false))
-            .unwrap();
-    let mut h_lv = c_lv.register().unwrap();
-    let mut h_fr = c_fr.register().unwrap();
-    for i in -20i64..20 {
+    let mut cfg = OnllConfig::named("script")
+        .max_processes(3)
+        .log_capacity(6)
+        .group_persist(MAX_GROUP)
+        .checkpoint_every(4)
+        .checkpoint_slot_bytes(4096);
+    cfg.reclaim_batch = 2;
+    let c = Durable::<ListSpec>::create(p, cfg).unwrap();
+    let reference = |history: &[Append]| onll::replay::<ListSpec>(history).items;
+    let mut history: Vec<Append> = Vec::new();
+    let mut handles = vec![c.register().unwrap()];
+    let mut next = 0u32;
+    for &(kind, h, size) in script {
+        let h = h % handles.len();
+        let handle = &mut handles[h];
+        let (peek, last) = (handle.peek_next_op_id(), handle.last_op_id());
+        match kind {
+            0 | 1 => {
+                next += 1;
+                match handle.try_update(Append(next)) {
+                    Ok(value) => {
+                        history.push(Append(next));
+                        assert_eq!(value, reference(&history), "update reply");
+                        assert_eq!(handle.last_op_id(), Some(peek));
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, OnllError::LogFull), "{e:?}");
+                        assert_eq!(handle.peek_next_op_id(), peek, "refused update drew an id");
+                        assert_eq!(handle.last_op_id(), last, "refused update moved last_op_id");
+                    }
+                }
+            }
+            2 => {
+                let ops: Vec<Append> = (0..size)
+                    .map(|_| {
+                        next += 1;
+                        Append(next)
+                    })
+                    .collect();
+                match handle.try_update_group(ops.clone()) {
+                    Ok(values) => {
+                        assert_eq!(values.len(), size);
+                        for (op, value) in ops.into_iter().zip(values) {
+                            history.push(op);
+                            assert_eq!(value, reference(&history), "group reply");
+                        }
+                        let expected_last = match size {
+                            0 => last,
+                            n => Some(OpId::new(peek.pid, peek.seq + n as u64 - 1)),
+                        };
+                        assert_eq!(handle.last_op_id(), expected_last);
+                        assert_eq!(handle.peek_next_op_id().seq, peek.seq + size as u64);
+                    }
+                    Err(e) => {
+                        if size > MAX_GROUP {
+                            assert!(matches!(e, OnllError::GroupTooLarge { .. }), "{e:?}");
+                        } else {
+                            assert!(matches!(e, OnllError::LogFull), "{e:?}");
+                        }
+                        assert_eq!(handle.peek_next_op_id(), peek, "refused group drew ids");
+                        assert_eq!(handle.last_op_id(), last, "refused group moved last_op_id");
+                    }
+                }
+            }
+            3 => assert_eq!(handle.read(&()), reference(&history), "handle read"),
+            4 => {
+                handle.maybe_checkpoint().unwrap();
+            }
+            _ => {
+                if handles.len() < 3 {
+                    // Late registration: the fresh view seeds from the newest
+                    // checkpoint snapshot once the prefix below it is reclaimed.
+                    let mut late = c.register().unwrap();
+                    assert_eq!(late.read(&()), reference(&history), "late handle read");
+                    handles.push(late);
+                } else {
+                    handles.swap_remove(h);
+                }
+            }
+        }
         assert_eq!(
-            h_lv.update(CounterOp::Add(i)),
-            h_fr.update(CounterOp::Add(i))
+            c.read_latest(&()),
+            reference(&history),
+            "Durable::read_latest"
         );
-        assert_eq!(h_lv.read(&()), h_fr.read(&()));
+    }
+    for handle in &mut handles {
+        assert_eq!(handle.read(&()), reference(&history), "final handle read");
+    }
+    assert_eq!(c.linearized_index(), history.len() as u64);
+    c.check_invariants().unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn handle_reads_and_replies_match_a_replay_of_the_linearized_history(
+        script in proptest::collection::vec((0u8..6, 0usize..3, 0usize..6), 1..80),
+    ) {
+        run_replay_script(&script);
+    }
+}
+
+/// A persist failure happens *after* ordering: the operation is in the trace
+/// (detectable execution must be able to ask about it), so `last_op_id` names
+/// it on both commit paths. The poisoned gate then refuses before ordering:
+/// no identity is drawn and `last_op_id` stays put, for updates and groups.
+#[test]
+fn refused_commits_draw_no_identity_on_either_path() {
+    for group in [false, true] {
+        let plan = FaultPlan::seeded(5);
+        let p = NvmPool::new(PmemConfig::with_capacity(32 << 20).fault_plan(plan.clone()));
+        let c =
+            Durable::<CounterSpec>::create(p, OnllConfig::named("ctr").group_persist(2)).unwrap();
+        let mut h = c.register().unwrap();
+        let commit = |h: &mut onll::ProcessHandle<CounterSpec>| {
+            if group {
+                h.try_update_group([CounterOp::Add(1), CounterOp::Add(1)])
+                    .map(|_| ())
+            } else {
+                h.try_update(CounterOp::Add(1)).map(|_| ())
+            }
+        };
+        commit(&mut h).unwrap();
+
+        let first = h.peek_next_op_id();
+        plan.fail_next_fsyncs_transient(16);
+        assert!(matches!(commit(&mut h), Err(OnllError::Nvm(_))));
+        let ordered = if group { 2 } else { 1 };
+        let last = OpId::new(first.pid, first.seq + ordered - 1);
+        assert_eq!(h.last_op_id(), Some(last), "group={group}");
+        assert_eq!(h.peek_next_op_id().seq, first.seq + ordered);
+
+        let peek = h.peek_next_op_id();
+        for _ in 0..3 {
+            assert!(matches!(commit(&mut h), Err(OnllError::Nvm(_))));
+            assert_eq!(h.peek_next_op_id(), peek, "group={group}");
+            assert_eq!(h.last_op_id(), Some(last), "group={group}");
+        }
+        assert!(matches!(
+            h.try_update_group([CounterOp::Add(1), CounterOp::Add(1), CounterOp::Add(1)]),
+            Err(OnllError::GroupTooLarge { len: 3, max: 2 })
+        ));
+        assert_eq!(h.peek_next_op_id(), peek);
     }
 }
 
@@ -444,20 +583,6 @@ fn plain_recover_refuses_when_checkpoints_exist() {
     ));
     let (c, _) = Durable::<CounterSpec>::recover_with_checkpoints(p, cfg).unwrap();
     assert_eq!(c.read_latest(&()), 20);
-}
-
-#[test]
-fn checkpoint_requires_local_views() {
-    let p = pool();
-    assert!(matches!(
-        Durable::<CounterSpec>::create(
-            p,
-            OnllConfig::named("ctr")
-                .local_views(false)
-                .checkpoint_every(5)
-        ),
-        Err(OnllError::MetadataMismatch(_))
-    ));
 }
 
 #[test]

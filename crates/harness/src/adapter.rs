@@ -105,7 +105,7 @@ impl<S: SequentialSpec> DurableObject<S> for ServiceClientAdapter<S> {
     }
 
     fn read(&mut self, op: &S::ReadOp) -> S::Value {
-        self.client.read(op)
+        self.client.read_latest(op)
     }
 
     fn implementation_name(&self) -> &'static str {

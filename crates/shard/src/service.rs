@@ -121,17 +121,8 @@ impl<S: KeyedSpec> ShardedService<S> {
         self.services[shard].resolve(op_id)
     }
 
-    /// Reads through the owning shard's combiner view (keyed reads), or
-    /// combines every shard's answer via [`KeyedSpec::merge_reads`] (global
-    /// reads). Zero persistent fences either way. Alias for
-    /// [`ShardedService::read_latest`] — see there for the (weak!) broadcast
-    /// semantics, and prefer [`ShardedService::read_snapshot`] for read paths
-    /// that must not contend with the per-shard commit locks.
-    pub fn read(&self, op: &S::ReadOp) -> S::Value {
-        self.read_latest(op)
-    }
-
-    /// The lock-taking read path. **Keyed** reads are linearizable within
+    /// The lock-taking read path through the shards' combiner views (zero
+    /// persistent fences). **Keyed** reads are linearizable within
     /// their shard (the shard is one ONLL object; its commit lock serializes
     /// the read against in-flight batches). **Broadcast** reads
     /// (`read_key(op) == None`) are *not* a consistent cut: each shard's lock
@@ -263,14 +254,6 @@ impl<S: KeyedSpec> ShardedServiceClient<S> {
     /// The shard index owning `key`.
     pub fn shard_of(&self, key: &S::Key) -> usize {
         self.router.route(key)
-    }
-
-    /// Reads through the owning shard's combiner view (keyed reads) or merges
-    /// all shards' answers (global reads). Zero persistent fences. Alias for
-    /// [`ShardedServiceClient::read_latest`]; see
-    /// [`ShardedService::read_latest`] for the broadcast caveats.
-    pub fn read(&self, op: &S::ReadOp) -> S::Value {
-        self.read_latest(op)
     }
 
     /// The lock-taking read path — per-shard linearizable, broadcast reads

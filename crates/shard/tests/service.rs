@@ -52,7 +52,7 @@ fn submits_route_to_the_owning_shard_only() {
             ResolveOutcome::Executed(value)
         );
         assert_eq!(
-            client.read(&KvRead::Get(key)),
+            client.read_latest(&KvRead::Get(key)),
             KvValue::Value(Some(format!("v{i}")))
         );
     }
@@ -99,9 +99,9 @@ fn reads_merge_across_shards_with_zero_fences() {
             .unwrap();
     }
     let w = object.aggregate_window();
-    assert_eq!(client.read(&KvRead::Len), KvValue::Len(20));
+    assert_eq!(client.read_latest(&KvRead::Len), KvValue::Len(20));
     assert_eq!(
-        client.read(&KvRead::Get("k3".into())),
+        client.read_latest(&KvRead::Get("k3".into())),
         KvValue::Value(Some("x".into()))
     );
     let d = w.close();
@@ -205,7 +205,7 @@ fn deterministic_clients_replay_identities_across_recovery() {
         .unwrap();
     assert_eq!((s2, id2), (shard, lost));
     assert_eq!(
-        client.read(&KvRead::Get(key)),
+        client.read_latest(&KvRead::Get(key)),
         KvValue::Value(Some("v2".into()))
     );
     object.check_invariants().unwrap();

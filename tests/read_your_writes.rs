@@ -2,7 +2,7 @@
 //!
 //! Snapshot reads serve a *published* linearized prefix, not the live trace —
 //! so the recency contract has to be proven, not assumed. The combiner
-//! publishes the new snapshot after `commit_batch` succeeds and **before** it
+//! publishes the new snapshot after its `commit` succeeds and **before** it
 //! posts READY to the batch's riders; a client's acknowledgement therefore
 //! happens-after the publish, and a snapshot read issued after the ack must
 //! observe the acked write (and everything linearized before it).
