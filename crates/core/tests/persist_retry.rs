@@ -1,5 +1,5 @@
 //! Fault absorption in the persist path: transient backend faults are retried
-//! inside `try_update`/`commit_batch` (the failed log publish leaves slot and
+//! inside `ProcessHandle::commit` (the failed log publish leaves slot and
 //! sequence number unconsumed, so the retry overwrites exactly the same
 //! entry), while an exhausted retry budget poisons the commit path so the
 //! orphaned — ordered but never linearized — window can never be linearized

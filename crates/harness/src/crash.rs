@@ -169,8 +169,8 @@ impl CrashExperiment {
 
         let crashed = pool.is_frozen();
         // Power-cycle: if the armed crash already fired, this "crashes" an already
-        // dark machine (harmless — the cache is already gone) and restarts it;
-        // otherwise it injects the crash now.
+        // dark machine (harmless — its pending flushes are already settled) and
+        // restarts it; otherwise it injects the crash now.
         let token = pool.crash();
         pool.disarm_crash();
         pool.restart(token);

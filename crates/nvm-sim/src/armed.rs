@@ -1,13 +1,25 @@
-//! Shared countdown logic for armed crashes.
+//! Countdown logic for armed crashes.
 //!
-//! Both backends let the crash harness arm a crash that fires after N further
-//! persistence events *without the operation's cooperation*
-//! ([`crate::CrashTrigger`]). The countdown bookkeeping is identical, so it
-//! lives here; the backend supplies the actual crash in the `fire` callback.
+//! The crash harness can arm a crash that fires after N further persistence
+//! events *without the operation's cooperation* ([`CrashTrigger`]). The
+//! backend supplies the actual crash in the `fire` callback.
 
-use crate::region::CrashTrigger;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
+
+/// What kind of persistence events an armed crash counts down on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashTrigger {
+    /// Crash after `n` further store instructions (any thread).
+    AfterStores(u64),
+    /// Crash after `n` further flush instructions (any thread).
+    AfterFlushes(u64),
+    /// Crash after `n` further fence instructions (any thread).
+    AfterFences(u64),
+    /// Crash after `n` further persistence events of any kind (store, flush or
+    /// fence, any thread).
+    AfterEvents(u64),
+}
 
 /// The event class an armed countdown ticks on.
 #[derive(Clone, Copy, PartialEq, Eq)]

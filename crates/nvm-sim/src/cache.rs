@@ -3,7 +3,7 @@
 //! Both the volatile cache and the durable ("on-NVM") contents are kept at
 //! cache-line granularity in a sharded map. Stores always land in the cache;
 //! whether and when a line's contents reach the durable map is decided by the
-//! [`crate::WritebackPolicy`] and by fences (see [`crate::NvmRegion`]).
+//! [`crate::WritebackPolicy`] and by fences (see the `backend` module).
 
 use crate::layout::CACHE_LINE_SIZE;
 use parking_lot::RwLock;
@@ -244,21 +244,23 @@ impl ShardedMemory {
     pub fn drop_cache(&self) {
         self.for_each_shard_mut(|s| s.cache.clear());
     }
-
-    /// Number of lines currently resident in the cache. For tests and diagnostics.
-    pub fn cached_lines(&self) -> usize {
-        self.shards.iter().map(|s| s.read().cache.len()).sum()
-    }
-
-    /// Number of lines currently present in the durable store.
-    pub fn durable_lines(&self) -> usize {
-        self.shards.iter().map(|s| s.read().durable.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardedMemory {
+        /// Number of lines currently resident in the cache.
+        fn cached_lines(&self) -> usize {
+            self.shards.iter().map(|s| s.read().cache.len()).sum()
+        }
+
+        /// Number of lines currently present in the durable store.
+        fn durable_lines(&self) -> usize {
+            self.shards.iter().map(|s| s.read().durable.len()).sum()
+        }
+    }
 
     #[test]
     fn read_of_untouched_memory_is_zero() {

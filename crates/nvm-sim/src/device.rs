@@ -4,7 +4,7 @@
 //! inherent — so the only scaling lever left is making more operations ride
 //! each fence. PR 5's combiner amortizes the fence across threads *within* a
 //! shard; this module plays the same trick one layer down, at the device:
-//! every [`crate::FileBackend`] segment on one [`PersistDevice`] funnels its
+//! every pool segment on one [`PersistDevice`] funnels its
 //! `fence()` into a per-device commit queue, where a leader drains all
 //! waiters' lines, issues the pwrites, performs **one** `fsync`, and only then
 //! wakes every rider.
@@ -33,6 +33,7 @@
 //! and form the next batch — natural group commit, no dedicated writer
 //! thread.
 
+use crate::cache::Line;
 use crate::error::NvmError;
 use crate::fault::{self, AbortPoint, FaultPlan, FsyncFault, PwriteFault};
 use crate::layout::CACHE_LINE_SIZE;
@@ -44,9 +45,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-
-/// Contents of one cache line, captured at flush time.
-pub(crate) type Line = [u8; CACHE_LINE_SIZE];
 
 const DEV_MAGIC: u64 = 0x4F4E4C4C_44455631; // "ONLL" "DEV1"
 const HEADER_SIZE: u64 = 4096;
@@ -68,17 +66,32 @@ pub(crate) fn io_err(path: &Path, e: std::io::Error) -> NvmError {
     }
 }
 
-/// Writes `lines` (sorted by line index, addresses relative to `base`) into
-/// `file`, merging contiguous runs into single writes. Does **not** sync.
-/// One call is one pwrite event of the fault plan, which may inject an EIO
-/// (nothing written) or a torn write (a prefix of `lines` written, then
-/// failure).
-pub(crate) fn write_lines_at(
-    file: &mut File,
+/// Makes `path`'s directory entry durable by fsyncing its parent directory
+/// (a no-op on platforms where directories cannot be opened for syncing).
+pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), NvmError> {
+    #[cfg(unix)]
+    {
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                let dir = File::open(parent).map_err(|e| io_err(parent, e))?;
+                dir.sync_all().map_err(|e| io_err(parent, e))?;
+            }
+        }
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
+
+/// One pwrite event of the fault plan over `lines` (sorted by line index):
+/// `write` receives each run of consecutive lines in turn. The plan may
+/// inject an EIO (nothing written) or a torn write (a prefix of `lines`
+/// written, then failure).
+pub(crate) fn write_lines(
     path: &Path,
-    base: u64,
     lines: &[(u64, Line)],
     faults: &FaultPlan,
+    mut write: impl FnMut(&[(u64, Line)]) -> Result<(), NvmError>,
 ) -> Result<(), NvmError> {
     let total = lines.len();
     let keep = match faults.on_pwrite(total) {
@@ -86,22 +99,11 @@ pub(crate) fn write_lines_at(
         PwriteFault::Error { transient } => return Err(fault::injected_error(path, transient)),
         PwriteFault::Torn { keep } => keep,
     };
-    let lines = &lines[..keep.min(total)];
-    let mut i = 0;
-    while i < lines.len() {
-        let mut j = i + 1;
-        while j < lines.len() && lines[j].0 == lines[j - 1].0 + 1 {
-            j += 1;
-        }
-        let mut buf = Vec::with_capacity((j - i) * CACHE_LINE_SIZE);
-        for (_, contents) in &lines[i..j] {
-            buf.extend_from_slice(contents);
-        }
-        let offset = base + lines[i].0 * CACHE_LINE_SIZE as u64;
-        file.seek(SeekFrom::Start(offset))
-            .and_then(|_| file.write_all(&buf))
-            .map_err(|e| io_err(path, e))?;
-        i = j;
+    let mut rest = &lines[..keep.min(total)];
+    while !rest.is_empty() {
+        let run = 1 + rest.windows(2).take_while(|w| w[1].0 == w[0].0 + 1).count();
+        write(&rest[..run])?;
+        rest = &rest[run..];
     }
     if keep < total {
         return Err(fault::torn_error(path, keep, total));
@@ -109,12 +111,39 @@ pub(crate) fn write_lines_at(
     Ok(())
 }
 
+/// Writes `lines` (sorted by line index, addresses relative to `base`) into
+/// `file`, one write per run of consecutive lines. Does **not** sync. One
+/// call is one pwrite event of the fault plan (see [`write_lines`]).
+pub(crate) fn write_lines_at(
+    file: &mut File,
+    path: &Path,
+    base: u64,
+    lines: &[(u64, Line)],
+    faults: &FaultPlan,
+) -> Result<(), NvmError> {
+    write_lines(path, lines, faults, |run| {
+        let mut buf = Vec::with_capacity(run.len() * CACHE_LINE_SIZE);
+        for (_, contents) in run {
+            buf.extend_from_slice(contents);
+        }
+        file.seek(SeekFrom::Start(base + run[0].0 * CACHE_LINE_SIZE as u64))
+            .and_then(|_| file.write_all(&buf))
+            .map_err(|e| io_err(path, e))
+    })
+}
+
 /// One fsync event of the fault plan: the plan may stall it (latency spike)
-/// or fail it with a synthetic EIO before the real `sync_data` runs.
-pub(crate) fn sync_file(file: &File, path: &Path, faults: &FaultPlan) -> Result<(), NvmError> {
-    if let FsyncFault::Error { transient } = faults.on_fsync() {
-        return Err(fault::injected_error(path, transient));
+/// or fail it with a synthetic EIO.
+pub(crate) fn fsync_event(path: &Path, faults: &FaultPlan) -> Result<(), NvmError> {
+    match faults.on_fsync() {
+        FsyncFault::None => Ok(()),
+        FsyncFault::Error { transient } => Err(fault::injected_error(path, transient)),
     }
+}
+
+/// One fsync event of the fault plan, then the real `sync_data`.
+pub(crate) fn sync_file(file: &File, path: &Path, faults: &FaultPlan) -> Result<(), NvmError> {
+    fsync_event(path, faults)?;
     file.sync_data().map_err(|e| io_err(path, e))
 }
 
@@ -373,10 +402,6 @@ impl PersistDevice {
             .map_err(|e| io_err(&inner.path, e))
     }
 
-    pub(crate) fn poison(&self) -> &Poison {
-        &self.inner.poison
-    }
-
     /// Fail the next `n` pwrites issued through this device with a permanent
     /// (poisoning) synthetic EIO — a thin wrapper over the device's
     /// [`FaultPlan`].
@@ -416,12 +441,12 @@ impl DeviceInner {
             read_header(&mut file, &path)?
         } else {
             // Fresh device: format the header and make the directory entry
-            // durable, like FileBackend::create does for private files.
+            // durable, as private pool files do.
             file.set_len(HEADER_SIZE).map_err(|e| io_err(&path, e))?;
             let segments = HashMap::new();
             write_header(&mut file, &path, &segments)?;
             file.sync_data().map_err(|e| io_err(&path, e))?;
-            crate::file::sync_parent_dir(&path)?;
+            sync_parent_dir(&path)?;
             segments
         };
         let telemetry = &cfg.telemetry;

@@ -1,9 +1,8 @@
 //! Unified, seedable fault injection for every backend.
 //!
-//! A [`FaultPlan`] is a scriptable schedule of IO faults that the simulator
-//! ([`crate::NvmRegion`]), the file backend ([`crate::FileBackend`]) and the
-//! shared-device group-commit executor ([`crate::PersistDevice`]) all honor at
-//! the same two decision points:
+//! A [`FaultPlan`] is a scriptable schedule of IO faults that the simulator,
+//! private pool files and the shared-device group-commit executor
+//! ([`crate::PersistDevice`]) all honor at the same two decision points:
 //!
 //! * **pwrite events** — one per fence-level batch write (a drain of pending
 //!   lines towards the durable store), where the plan may inject an EIO or a
@@ -41,8 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Marker embedded in transient injected errors so deep callees
-/// ([`crate::FileBackend`]'s fence path, the device's batch leader) can tell a
+/// Marker embedded in transient injected errors so deep callees (the backend's
+/// fence path, the device's batch leader) can tell a
 /// recoverable injection from a poisoning one without threading a flag through
 /// every IO helper.
 const TRANSIENT_MARKER: &str = "injected transient";

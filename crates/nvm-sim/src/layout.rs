@@ -3,10 +3,10 @@
 /// Size of a simulated cache line in bytes. Matches x86-64.
 pub const CACHE_LINE_SIZE: usize = 64;
 
-/// A persistent address: a byte offset into an [`crate::NvmRegion`].
+/// A persistent address: a byte offset into an [`crate::NvmPool`].
 ///
 /// Addresses are plain offsets (not machine pointers) so that they remain valid
-/// across simulated crashes and "re-mapping" of the region during recovery.
+/// across simulated crashes and "re-mapping" of the pool during recovery.
 pub type PAddr = u64;
 
 /// Index of the cache line containing `addr`.

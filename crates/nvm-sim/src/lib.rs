@@ -18,14 +18,22 @@
 //! 1. persistent fences are *countable* per thread and per operation
 //!    ([`FenceStats`], [`OpWindow`]), which is what Theorems 5.1 and 6.3 are about;
 //! 2. crashes are *injectable* at adversarially chosen points
-//!    ([`NvmRegion::crash`], [`CrashToken`]) so durable linearizability can be
-//!    tested deterministically, which real hardware does not allow;
+//!    ([`NvmPool::crash`], [`CrashTrigger`], [`CrashToken`]) so durable
+//!    linearizability can be tested deterministically, which real hardware
+//!    does not allow;
 //! 3. the guarantees an algorithm relies on can be made *minimal* via
 //!    [`WritebackPolicy`] — e.g. under [`WritebackPolicy::OnlyOnFence`] nothing is
 //!    durable unless it was explicitly flushed *and* fenced.
 //!
-//! The main entry points are [`NvmPool`] (a region plus a persistent allocator and
-//! named roots that survive crashes) and [`NvmRegion`] (raw load/store/flush/fence).
+//! The model is written once, in the crate's backend, and holds on every
+//! medium a pool can live on ([`BackendSpec`]): the simulator, a private file
+//! (`pwrite` + `fsync`, recovery across real process restarts) or a segment
+//! of a shared [`PersistDevice`] (fences coalesce into one `fsync`). The
+//! backend's rustdoc (`backend.rs`) states the six-item crash-semantics
+//! contract every medium upholds.
+//!
+//! The entry point is [`NvmPool`]: raw load/store/flush/fence plus a
+//! persistent allocator and named roots that survive crashes.
 //!
 //! ```
 //! use nvm_sim::{NvmPool, PmemConfig};
@@ -49,24 +57,22 @@ mod cell;
 mod device;
 mod error;
 mod fault;
-mod file;
 mod layout;
+mod medium;
 mod policy;
 mod pool;
-mod region;
 mod stats;
 mod thread_slot;
 
-pub use backend::{scratch_dir, BackendSpec, PmemBackend, ScratchDir};
+pub use armed::CrashTrigger;
+pub use backend::{scratch_dir, BackendSpec, CrashToken, ScratchDir};
 pub use cell::{PBytes, PU32, PU64};
 pub use device::{PersistDevice, DEVICE_ABORT_ENV};
 pub use error::NvmError;
 pub use fault::{error_is_transient, message_is_transient, FaultKind, FaultPlan, FaultRule};
-pub use file::FileBackend;
 pub use layout::{line_index, line_offset, line_range, PAddr, CACHE_LINE_SIZE};
 pub use policy::{PmemConfig, WritebackPolicy};
 pub use pool::{NvmPool, RootId, MAX_ROOTS};
-pub use region::{CrashToken, CrashTrigger, NvmRegion};
 pub use stats::{FenceStats, MaintenanceScope, OpWindow, StatsSnapshot, ThreadStatsSnapshot};
 pub use thread_slot::{current_thread_slot, MAX_THREAD_SLOTS};
 

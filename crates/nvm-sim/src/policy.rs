@@ -73,10 +73,6 @@ pub struct PmemConfig {
     /// spin, so the modeled stall does not burn host CPU other simulated
     /// processors could use. Zero by default so unit tests stay fast.
     pub fence_penalty: Duration,
-    /// Artificial latency charged for every flush instruction. The paper's model
-    /// treats flushes as free; this knob exists only for sensitivity analysis and
-    /// defaults to zero.
-    pub flush_penalty: Duration,
     /// Metric sink every layer built on this pool records into (fence and
     /// fsync wall time here in the backend, entry sizes in the persist-log,
     /// phase spans and combiner batches in the core). Disabled by default:
@@ -108,7 +104,6 @@ impl Default for PmemConfig {
             apply_pending_at_crash_probability: 0.5,
             crash_seed: 0xC0FFEE,
             fence_penalty: Duration::ZERO,
-            flush_penalty: Duration::ZERO,
             telemetry: Telemetry::disabled(),
             coalesce_window: Duration::ZERO,
             coalesce_max_riders: 64,

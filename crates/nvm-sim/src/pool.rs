@@ -1,5 +1,5 @@
-//! A persistent pool: an [`NvmRegion`] plus a crash-surviving allocator and a table
-//! of named roots.
+//! A persistent pool: a backend plus a crash-surviving allocator and a table of
+//! named roots.
 //!
 //! Persistent data structures need a way to find their data again after a crash:
 //! machine pointers are meaningless across restarts, so the pool hands out stable
@@ -8,13 +8,11 @@
 //! persisted (allocation is rare — logs and checkpoint areas are allocated at
 //! setup time).
 
-use crate::backend::{BackendSpec, PmemBackend};
-use crate::device::PersistDevice;
+use crate::armed::CrashTrigger;
+use crate::backend::{Backend, BackendSpec, CrashToken};
 use crate::error::NvmError;
-use crate::file::FileBackend;
 use crate::layout::{PAddr, CACHE_LINE_SIZE};
 use crate::policy::PmemConfig;
-use crate::region::{CrashToken, CrashTrigger, NvmRegion};
 use crate::stats::FenceStats;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -51,33 +49,31 @@ impl RootId {
 /// A persistent-memory pool: backend + allocator + named roots.
 ///
 /// The pool is cheaply cloneable (it is an `Arc` internally); clones refer to
-/// the same backend. Which [`PmemBackend`] carries the bytes — the simulator
-/// or a real file — is fixed at construction; everything above the pool is
-/// backend-agnostic.
+/// the same backend. Which medium carries the bytes — the simulator, a
+/// private file or a device segment — is fixed at construction; everything
+/// above the pool is medium-agnostic. The crash semantics every medium
+/// upholds are the six-item contract of the backend (`backend.rs`).
 #[derive(Clone)]
 pub struct NvmPool {
     inner: Arc<PoolInner>,
 }
 
 struct PoolInner {
-    backend: Arc<dyn PmemBackend>,
+    backend: Backend,
     alloc_lock: Mutex<()>,
 }
 
 impl NvmPool {
-    /// Creates and formats a fresh simulator-backed pool (the historical
-    /// default; equivalent to [`NvmPool::format`] over an [`NvmRegion`]).
+    /// Creates and formats a fresh simulator-backed pool.
     pub fn new(cfg: PmemConfig) -> Self {
-        Self::format(Arc::new(NvmRegion::new(cfg)))
+        Self::format(Backend::sim(cfg))
     }
 
     /// Wraps `backend` in a pool and formats it: writes the magic header,
-    /// zeroes the root table and resets the allocation cursor. Destroys any
-    /// previous pool contents — use [`NvmPool::open`] to attach to an
-    /// existing pool (e.g. a reopened file) instead.
-    pub fn format(backend: Arc<dyn PmemBackend>) -> Self {
+    /// zeroes the root table and resets the allocation cursor.
+    fn format(backend: Backend) -> Self {
         assert!(
-            backend.capacity() > DATA_START + CACHE_LINE_SIZE as u64,
+            backend.config().capacity > DATA_START + CACHE_LINE_SIZE as u64,
             "pool capacity too small"
         );
         let pool = NvmPool {
@@ -96,57 +92,28 @@ impl NvmPool {
         pool
     }
 
-    /// Attaches to an already-formatted pool in `backend` **without**
-    /// formatting — the recovery entry point. Fails if the header magic is
-    /// missing (the backend never held a pool, or lost its header).
-    pub fn open(backend: Arc<dyn PmemBackend>) -> Result<Self, NvmError> {
-        let pool = NvmPool {
-            inner: Arc::new(PoolInner {
-                backend,
-                alloc_lock: Mutex::new(()),
-            }),
-        };
-        pool.check_header()?;
-        Ok(pool)
-    }
-
-    /// Creates and formats a fresh pool on the backend selected by `spec`.
+    /// Creates and formats a fresh pool on the medium selected by `spec`.
     /// For [`BackendSpec::File`], the backing file is `dir/<label>.pmem`
     /// (truncated if present). For [`BackendSpec::Device`], the pool becomes a
     /// segment of the shared device file and its fences coalesce with every
     /// other pool on the device.
     pub fn provision(spec: &BackendSpec, cfg: PmemConfig, label: &str) -> Result<Self, NvmError> {
-        match spec {
-            BackendSpec::Sim => Ok(Self::new(cfg)),
-            BackendSpec::File { .. } => {
-                let path = spec.pool_path(label).expect("file spec has a pool path");
-                Ok(Self::format(Arc::new(FileBackend::create(path, cfg)?)))
-            }
-            BackendSpec::Device { path } => {
-                let device = PersistDevice::handle(path, &cfg)?;
-                Ok(Self::format(Arc::new(FileBackend::create_on_device(
-                    &device, label, cfg,
-                )?)))
-            }
-        }
+        Ok(Self::format(Backend::provision(spec, cfg, label)?))
     }
 
     /// Reopens an existing pool previously created by [`NvmPool::provision`]
     /// under the same `spec`/`label` — this is how a restarted process finds
-    /// its data again. The simulator has no cross-process representation, so
-    /// reopening it is an error.
+    /// its data again. Fails if the header magic is missing. The simulator
+    /// has no cross-process representation, so reopening it is an error.
     pub fn reopen(spec: &BackendSpec, cfg: PmemConfig, label: &str) -> Result<Self, NvmError> {
-        match spec {
-            BackendSpec::Sim => Err(NvmError::ReopenUnsupported("sim")),
-            BackendSpec::File { .. } => {
-                let path = spec.pool_path(label).expect("file spec has a pool path");
-                Self::open(Arc::new(FileBackend::open(path, cfg)?))
-            }
-            BackendSpec::Device { path } => {
-                let device = PersistDevice::handle(path, &cfg)?;
-                Self::open(Arc::new(FileBackend::open_on_device(&device, label, cfg)?))
-            }
-        }
+        let pool = NvmPool {
+            inner: Arc::new(PoolInner {
+                backend: Backend::reopen(spec, cfg, label)?,
+                alloc_lock: Mutex::new(()),
+            }),
+        };
+        pool.check_header()?;
+        Ok(pool)
     }
 
     /// Checks that the pool header survived (magic intact). Call after a crash and
@@ -159,14 +126,9 @@ impl NvmPool {
         }
     }
 
-    /// The underlying persistence backend.
-    pub fn backend(&self) -> &Arc<dyn PmemBackend> {
-        &self.inner.backend
-    }
-
-    /// Short name of the underlying backend ("sim" / "file").
+    /// Short name of the underlying medium ("sim" / "file").
     pub fn backend_name(&self) -> &'static str {
-        self.inner.backend.backend_name()
+        self.inner.backend.name()
     }
 
     /// Persistence statistics (shared with the backend).
@@ -251,19 +213,21 @@ impl NvmPool {
         self.get_root(id).ok_or(NvmError::RootNotFound(id.0))
     }
 
-    // ----- forwarding helpers to the region -----
+    // ----- forwarding helpers to the backend -----
 
     /// Pool capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.inner.backend.capacity()
+        self.inner.backend.config().capacity
     }
 
-    /// See [`NvmRegion::write`].
+    /// Stores `data` at `addr`. The store is volatile: it is **not** durable
+    /// until flushed and fenced (modulo the write-back policy).
     pub fn write(&self, addr: PAddr, data: &[u8]) {
         self.inner.backend.write(addr, data)
     }
 
-    /// See [`NvmRegion::read`].
+    /// Reads `buf.len()` bytes at `addr` (after a crash and before restart:
+    /// the durable image).
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
         self.inner.backend.read(addr, buf)
     }
@@ -276,23 +240,30 @@ impl NvmPool {
     }
 
     /// Reads the *durable* contents only — what a crash at this instant would
-    /// preserve. See [`PmemBackend::read_durable`].
+    /// preserve.
     pub fn read_durable(&self, addr: PAddr, buf: &mut [u8]) {
         self.inner.backend.read_durable(addr, buf)
     }
 
-    /// See [`NvmRegion::flush`].
+    /// Initiates asynchronous write-back (`clwb`-style flush) of the lines
+    /// covering `[addr, addr+len)`: free, and captures the lines' contents at
+    /// flush time. Not durable until a later fence by the same thread.
     pub fn flush(&self, addr: PAddr, len: usize) {
         self.inner.backend.flush(addr, len)
     }
 
-    /// Drains the calling thread's pending flushes. See [`PmemBackend::fence`]
-    /// for the meaning of `Ok(true)` / `Ok(false)` / `Err`.
+    /// Drains the calling thread's pending flushes. `Ok(true)`: a persistent
+    /// fence, the flushed lines are durable. `Ok(false)`: nothing was pending,
+    /// or the machine is frozen by a crash. `Err`: the medium failed to make
+    /// the bytes durable; unless the fault was transient the pool is poisoned
+    /// and later fences fail with the original cause. Callers on the persist
+    /// path must not treat an `Err` or an unexpected `Ok(false)` as success.
     pub fn fence(&self) -> Result<bool, NvmError> {
         self.inner.backend.fence()
     }
 
-    /// Write + flush + fence of one range. See [`PmemBackend::persist`].
+    /// Write + flush + fence of one range (one persistent fence); forwards
+    /// [`NvmPool::fence`]'s result.
     pub fn persist(&self, addr: PAddr, data: &[u8]) -> Result<bool, NvmError> {
         self.inner.backend.persist(addr, data)
     }
@@ -321,12 +292,15 @@ impl NvmPool {
         u32::from_le_bytes(buf)
     }
 
-    /// Injects a full-system crash. See [`NvmRegion::crash`].
+    /// Injects a full-system crash: the pool freezes (persistence
+    /// instructions of still-running threads have no effect), and each
+    /// pending flush of any thread is applied or dropped at random
+    /// ([`PmemConfig::apply_pending_at_crash`]).
     pub fn crash(&self) -> CrashToken {
         self.inner.backend.crash()
     }
 
-    /// Restarts after a crash. See [`NvmRegion::restart`].
+    /// Restarts after a crash: the cache is empty, durable contents survive.
     pub fn restart(&self, token: CrashToken) {
         self.inner.backend.restart(token)
     }
@@ -337,17 +311,17 @@ impl NvmPool {
         self.restart(t);
     }
 
-    /// Arms an automatic crash. See [`NvmRegion::arm_crash`].
+    /// Arms an automatic crash after a number of further persistence events.
     pub fn arm_crash(&self, trigger: CrashTrigger) {
         self.inner.backend.arm_crash(trigger)
     }
 
-    /// Disarms an armed crash. See [`NvmRegion::disarm_crash`].
+    /// Disarms an armed crash (no-op if none is armed).
     pub fn disarm_crash(&self) {
         self.inner.backend.disarm_crash()
     }
 
-    /// True if the region is currently frozen by a crash.
+    /// True if the pool is currently frozen by a crash.
     pub fn is_frozen(&self) -> bool {
         self.inner.backend.is_frozen()
     }

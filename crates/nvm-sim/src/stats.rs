@@ -353,12 +353,13 @@ impl Drop for MaintenanceScope {
 /// Used to assert per-operation fence bounds:
 ///
 /// ```
-/// # use nvm_sim::{NvmRegion, PmemConfig};
-/// let region = NvmRegion::new(PmemConfig::default());
-/// let w = region.stats().op_window();
-/// region.write(0, &[1, 2, 3]);
-/// region.flush(0, 3);
-/// region.fence();
+/// # use nvm_sim::{NvmPool, PmemConfig};
+/// let pool = NvmPool::new(PmemConfig::default());
+/// let addr = pool.alloc(64).unwrap();
+/// let w = pool.stats().op_window();
+/// pool.write(addr, &[1, 2, 3]);
+/// pool.flush(addr, 3);
+/// pool.fence().unwrap();
 /// let delta = w.close();
 /// assert_eq!(delta.persistent_fences, 1);
 /// ```

@@ -6,10 +6,11 @@
 //! This crate re-exports the workspace members so examples and integration tests
 //! can use a single dependency. The pieces are:
 //!
-//! * [`nvm`] — the persistence substrate: the `PmemBackend` trait behind
-//!   `NvmPool`, with a simulator (cache-line model, flush/fence, write-back
-//!   policies, crash injection, fence statistics) and a file backend
-//!   (`pwrite` + `fsync`, recovery across real process restarts).
+//! * [`nvm`] — the persistence substrate: `NvmPool` over one backend that
+//!   implements the paper's crash model (flush/fence, write-back policies,
+//!   crash injection, fence statistics) on three media — a simulator, a
+//!   private file (`pwrite` + `fsync`, recovery across real process restarts)
+//!   and a segment of a shared group-commit device.
 //! * [`plog`] — the single-persistent-fence per-process append-only log
 //!   (Cohen et al., OOPSLA 2017) the construction relies on.
 //! * [`trace`] — the transient lock-free execution trace with available flags and
@@ -50,7 +51,6 @@ pub use persist_log as plog;
 /// Convenience prelude pulling in the types most examples need.
 pub mod prelude {
     pub use crate::nvm::{
-        BackendSpec, FenceStats, FileBackend, NvmPool, PmemBackend, PmemConfig, Telemetry,
-        TelemetrySnapshot, WritebackPolicy,
+        BackendSpec, FenceStats, NvmPool, PmemConfig, Telemetry, TelemetrySnapshot, WritebackPolicy,
     };
 }
