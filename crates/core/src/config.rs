@@ -1,7 +1,5 @@
 //! Construction configuration.
 
-use nvm_sim::BackendSpec;
-
 /// Configuration of one ONLL-constructed durable object.
 #[derive(Debug, Clone)]
 pub struct OnllConfig {
@@ -45,21 +43,6 @@ pub struct OnllConfig {
     ///
     /// `1` (the default) reproduces the paper's base construction exactly.
     pub max_group_ops: usize,
-    /// Which persistence backend carries the object's pool when the pool is
-    /// built from this config (`Durable::create_in` / `Durable::recover_in`).
-    /// Ignored by the `create`/`recover` entry points that take an existing
-    /// pool — there the caller already chose the backend.
-    pub backend: BackendSpec,
-    /// Extra attempts at the fuzzy-window log append when its persistent fence
-    /// fails (e.g. a transient `EIO` injected by `nvm_sim::FaultPlan`, or a
-    /// device hiccup on a real file backend). A failed publish leaves the log's
-    /// slot and sequence number unconsumed, so each retry overwrites exactly
-    /// the same entry — retrying is idempotent. If every attempt fails the
-    /// commit path **poisons itself** and all further updates are rejected;
-    /// see `ProcessHandle::persist_fuzzy_window_with_retry` for why that is
-    /// required for exactly-once (the ordered-but-unpersisted window must
-    /// never be linearized past).
-    pub persist_retries: u32,
 }
 
 impl Default for OnllConfig {
@@ -73,8 +56,6 @@ impl Default for OnllConfig {
             checkpoint_slot_bytes: 64 * 1024,
             reclaim_batch: 1024,
             max_group_ops: 1,
-            backend: BackendSpec::Sim,
-            persist_retries: 3,
         }
     }
 }
@@ -128,26 +109,12 @@ impl OnllConfig {
         self
     }
 
-    /// Selects the persistence backend used when the pool is built from this
-    /// config (see [`OnllConfig::backend`]).
-    pub fn backend(mut self, spec: BackendSpec) -> Self {
-        self.backend = spec;
-        self
-    }
-
     /// Allows up to `n` operations per fence-amortized group persist
     /// (`ProcessHandle::update_group`). Grows each log entry to hold the group
     /// plus helped operations.
     pub fn group_persist(mut self, n: usize) -> Self {
         assert!(n >= 1, "a group holds at least one operation");
         self.max_group_ops = n;
-        self
-    }
-
-    /// Sets how many extra attempts a failed fuzzy-window persist gets before
-    /// the commit path poisons itself (see [`OnllConfig::persist_retries`]).
-    pub fn persist_retries(mut self, retries: u32) -> Self {
-        self.persist_retries = retries;
         self
     }
 

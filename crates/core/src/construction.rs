@@ -114,13 +114,13 @@ pub(crate) struct Shared<S: SequentialSpec> {
     /// individually identifiable anyway — the documented checkpoint contract).
     pub(crate) recovered: Mutex<HashMap<OpId, u64>>,
     /// Set when a fuzzy-window persist failed even after
-    /// `OnllConfig::persist_retries` attempts. The failed window's nodes are
-    /// ordered in the volatile trace but will never be linearized; letting any
-    /// *later* commit linearize past them would make them visible to replay
-    /// (double-apply on resubmission). Once set, every subsequent update is
-    /// rejected *before* ordering anything; reads and `resolve` still serve
-    /// the linearized prefix, and a restart recovers cleanly from the logs
-    /// (the poisoned window was never durably appended).
+    /// [`crate::handle::PERSIST_RETRIES`] extra attempts. The failed window's
+    /// nodes are ordered in the volatile trace but will never be linearized;
+    /// letting any *later* commit linearize past them would make them visible
+    /// to replay (double-apply on resubmission). Once set, every subsequent
+    /// update is rejected *before* ordering anything; reads and `resolve`
+    /// still serve the linearized prefix, and a restart recovers cleanly from
+    /// the logs (the poisoned window was never durably appended).
     pub(crate) commit_poisoned: AtomicBool,
 }
 
@@ -229,28 +229,6 @@ impl<S: SequentialSpec> Durable<S> {
     /// [`Durable::recover`] for that) or if the pool is too small.
     pub fn create(pool: NvmPool, config: OnllConfig) -> Result<Self, OnllError> {
         Self::create_with_hooks(pool, config, Hooks::none())
-    }
-
-    /// Provisions a pool on the backend selected by `config.backend`
-    /// (`OnllConfig::backend`) and formats a fresh object in it. For the file
-    /// backend the pool lives at `dir/<config.name>.pmem`; use
-    /// [`Durable::recover_in`] (or `recover_in_with_checkpoints`) to reopen it
-    /// after a process restart.
-    pub fn create_in(pmem: nvm_sim::PmemConfig, config: OnllConfig) -> Result<Self, OnllError> {
-        let pool = NvmPool::provision(&config.backend, pmem, &config.name)?;
-        Self::create(pool, config)
-    }
-
-    /// Reopens the pool previously provisioned by [`Durable::create_in`] under
-    /// the same `config.backend`/`config.name` and recovers the object from it
-    /// — the cross-process recovery entry point (checkpoint-free objects; see
-    /// [`Durable::recover`] for the failure modes).
-    pub fn recover_in(
-        pmem: nvm_sim::PmemConfig,
-        config: OnllConfig,
-    ) -> Result<(Self, RecoveryReport), OnllError> {
-        let pool = NvmPool::reopen(&config.backend, pmem, &config.name)?;
-        Self::recover(pool, config)
     }
 
     /// Like [`Durable::create`], with execution hooks installed (used by tests, the
@@ -400,15 +378,6 @@ impl<S: SequentialSpec> Durable<S> {
     /// found (the basis of detectable execution). Fails if a checkpoint exists in
     /// the pool — use [`Durable::recover_with_checkpoints`] in that case.
     pub fn recover(pool: NvmPool, config: OnllConfig) -> Result<(Self, RecoveryReport), OnllError> {
-        Self::recover_with_hooks(pool, config, Hooks::none())
-    }
-
-    /// Like [`Durable::recover`], with execution hooks installed.
-    pub fn recover_with_hooks(
-        pool: NvmPool,
-        config: OnllConfig,
-        hooks: Hooks,
-    ) -> Result<(Self, RecoveryReport), OnllError> {
         let (max_processes, log_cfg, cp_slot_bytes, log_bases, cp_bases) =
             Self::read_meta(&pool, &config)?;
         if checkpoint::read_best(&pool, &cp_bases, cp_slot_bytes, max_processes).is_some() {
@@ -419,7 +388,6 @@ impl<S: SequentialSpec> Durable<S> {
         Self::finish_recovery(
             pool,
             config,
-            hooks,
             max_processes,
             log_cfg,
             cp_slot_bytes,
@@ -436,7 +404,6 @@ impl<S: SequentialSpec> Durable<S> {
     fn finish_recovery(
         pool: NvmPool,
         mut config: OnllConfig,
-        hooks: Hooks,
         max_processes: usize,
         log_cfg: LogConfig,
         cp_slot_bytes: usize,
@@ -447,7 +414,7 @@ impl<S: SequentialSpec> Durable<S> {
         base_floors: Vec<u64>,
         base_state: Box<dyn Fn() -> S + Send + Sync>,
     ) -> Result<(Self, RecoveryReport), OnllError> {
-        let hooks = crate::phase_spans::install(pool.telemetry(), hooks);
+        let hooks = crate::phase_spans::install(pool.telemetry(), Hooks::none());
         config.max_processes = max_processes;
         config.log_capacity_entries = log_cfg.capacity_entries;
         config.checkpoint_slot_bytes = cp_slot_bytes;
@@ -755,25 +722,6 @@ impl<S: SnapshotSpec> Durable<S> {
         pool: NvmPool,
         config: OnllConfig,
     ) -> Result<(Self, RecoveryReport), OnllError> {
-        Self::recover_with_checkpoints_and_hooks(pool, config, Hooks::none())
-    }
-
-    /// [`Durable::recover_with_checkpoints`] against the pool reopened from
-    /// `config.backend`/`config.name` (see [`Durable::recover_in`]).
-    pub fn recover_in_with_checkpoints(
-        pmem: nvm_sim::PmemConfig,
-        config: OnllConfig,
-    ) -> Result<(Self, RecoveryReport), OnllError> {
-        let pool = NvmPool::reopen(&config.backend, pmem, &config.name)?;
-        Self::recover_with_checkpoints(pool, config)
-    }
-
-    /// Like [`Durable::recover_with_checkpoints`], with execution hooks installed.
-    pub fn recover_with_checkpoints_and_hooks(
-        pool: NvmPool,
-        config: OnllConfig,
-        hooks: Hooks,
-    ) -> Result<(Self, RecoveryReport), OnllError> {
         let (max_processes, log_cfg, cp_slot_bytes, log_bases, cp_bases) =
             Self::read_meta(&pool, &config)?;
         // Newest-first fallback chain: first checksum-valid checkpoint whose
@@ -799,7 +747,6 @@ impl<S: SnapshotSpec> Durable<S> {
         Self::finish_recovery(
             pool,
             config,
-            hooks,
             max_processes,
             log_cfg,
             cp_slot_bytes,

@@ -14,6 +14,17 @@ use persist_log::{LogError, PersistentLog};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Extra attempts at the fuzzy-window log append when its persistent fence
+/// fails (e.g. a transient `EIO` injected by `nvm_sim::FaultPlan`, or a device
+/// hiccup on a real file backend), so up to four attempts in all. A failed
+/// publish leaves the log's slot and sequence number unconsumed, so each retry
+/// overwrites exactly the same entry — retrying is idempotent. If every attempt
+/// fails the commit path **poisons itself** and all further updates are
+/// rejected; see [`ProcessHandle::persist_fuzzy_window_with_retry`] for why
+/// that is required for exactly-once (the ordered-but-unpersisted window must
+/// never be linearized past).
+pub(crate) const PERSIST_RETRIES: u32 = 3;
+
 /// A per-process handle on a [`crate::Durable`] object.
 ///
 /// Exactly one handle exists per process slot at a time (handles are not `Clone`;
@@ -185,7 +196,7 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// operation from this handle's own slot, even if the persist then fails:
     /// the operation is in the trace, and detectable execution must be able
     /// to ask about it. A persist that still fails after
-    /// `OnllConfig::persist_retries` poisons the commit path (see
+    /// [`PERSIST_RETRIES`] poisons the commit path (see
     /// [`ProcessHandle::persist_fuzzy_window_with_retry`]).
     pub(crate) fn commit(
         &mut self,
@@ -283,7 +294,7 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// This is [`ProcessHandle::persist_fuzzy_window`] with fault absorption: a failed
     /// publish leaves the log's slot and sequence counters unconsumed, so the
     /// append is retried — overwriting exactly the same entry — up to
-    /// `OnllConfig::persist_retries` extra times. Transient backend faults
+    /// [`PERSIST_RETRIES`] extra times. Transient backend faults
     /// (injected `EIO`s that recover, a device hiccup) therefore cost latency,
     /// not the operation.
     ///
@@ -302,7 +313,7 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         &mut self,
         newest: &TraceNode<Option<Record<S::UpdateOp>>>,
     ) -> Result<(), OnllError> {
-        let mut attempts_left = self.shared.config.persist_retries;
+        let mut attempts_left = PERSIST_RETRIES;
         loop {
             match self.persist_fuzzy_window(newest) {
                 Ok(()) => return Ok(()),

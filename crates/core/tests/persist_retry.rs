@@ -3,7 +3,8 @@
 //! sequence number unconsumed, so the retry overwrites exactly the same
 //! entry), while an exhausted retry budget poisons the commit path so the
 //! orphaned — ordered but never linearized — window can never be linearized
-//! past (the double-apply hazard described on `OnllConfig::persist_retries`).
+//! past (the double-apply hazard described on the commit path's
+//! `PERSIST_RETRIES` constant in `crates/core/src/handle.rs`).
 
 mod common;
 
@@ -24,7 +25,7 @@ fn transient_fsync_faults_are_absorbed_by_persist_retry() {
     assert_eq!(h.update(CounterOp::Add(1)), 1);
 
     // Two consecutive injected fsync EIOs: attempts 1 and 2 fail, attempt 3
-    // succeeds (default persist_retries = 3 allows up to 4 attempts).
+    // succeeds (`PERSIST_RETRIES` = 3 allows up to 4 attempts).
     plan.fail_next_fsyncs_transient(2);
     assert_eq!(h.update(CounterOp::Add(10)), 11, "retry must absorb faults");
     assert!(plan.injected() >= 2, "both faults actually fired");

@@ -6,7 +6,7 @@
 //! [`DurableObject`] implementation — the ONLL combining service
 //! ([`onll::DurableService`] via [`crate::adapter::ServiceClientAdapter`]), the
 //! `baselines` flat combiner, or plain per-thread handles — under identical
-//! seeded workloads, so the `concurrent_commit` bench compares them
+//! seeded workloads, so a caller can compare them
 //! apples-to-apples. It also audits the amortized per-operation fence bounds
 //! ([`FenceAudit::satisfies_amortized_bounds`]): at most one inherent fence in
 //! any operation's own window, and no fewer than one fence per `max_batch`

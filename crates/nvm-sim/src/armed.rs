@@ -4,8 +4,7 @@
 //! events *without the operation's cooperation* ([`CrashTrigger`]). The
 //! backend supplies the actual crash in the `fire` callback.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
 
 /// What kind of persistence events an armed crash counts down on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,24 +22,30 @@ pub enum CrashTrigger {
 
 /// The event class an armed countdown ticks on.
 #[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum ArmedKind {
-    Stores,
+    Stores = 1,
     Flushes,
     Fences,
     Events,
 }
 
+/// `ArmedCrash::kind` when nothing is armed.
+const UNARMED: u8 = 0;
+
 /// Countdown state for one armed crash; negative countdown means "not armed".
 pub(crate) struct ArmedCrash {
     countdown: AtomicI64,
-    kind: Mutex<Option<ArmedKind>>,
+    /// The armed [`ArmedKind`] as its discriminant, or [`UNARMED`]: an unarmed
+    /// tick is this one load.
+    kind: AtomicU8,
 }
 
 impl ArmedCrash {
     pub fn new() -> Self {
         ArmedCrash {
             countdown: AtomicI64::new(-1),
-            kind: Mutex::new(None),
+            kind: AtomicU8::new(UNARMED),
         }
     }
 
@@ -52,29 +57,28 @@ impl ArmedCrash {
             CrashTrigger::AfterFences(n) => (ArmedKind::Fences, n),
             CrashTrigger::AfterEvents(n) => (ArmedKind::Events, n),
         };
-        *self.kind.lock() = Some(kind);
+        self.kind.store(kind as u8, Ordering::SeqCst);
         self.countdown.store(n as i64, Ordering::SeqCst);
     }
 
     /// Disarms the countdown (no-op if not armed).
     pub fn disarm(&self) {
-        *self.kind.lock() = None;
+        self.kind.store(UNARMED, Ordering::SeqCst);
         self.countdown.store(-1, Ordering::SeqCst);
     }
 
     /// Records one event of class `kind`; calls `fire` exactly once when the
     /// countdown reaches zero on a matching event.
     pub fn tick(&self, kind: ArmedKind, fire: impl FnOnce()) {
-        let want = *self.kind.lock();
-        let Some(want) = want else { return };
-        let matches = want == ArmedKind::Events || want == kind;
-        if !matches {
+        let want = self.kind.load(Ordering::SeqCst);
+        if want == UNARMED || (want != ArmedKind::Events as u8 && want != kind as u8) {
             return;
         }
+        // Only one thread sees the countdown step from 1 to 0.
         let prev = self.countdown.fetch_sub(1, Ordering::SeqCst);
         if prev == 1 {
             // This event was the trigger.
-            *self.kind.lock() = None;
+            self.kind.store(UNARMED, Ordering::SeqCst);
             fire();
         }
     }

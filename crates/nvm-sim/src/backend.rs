@@ -435,8 +435,7 @@ pub enum BackendSpec {
     /// All pools as segments of **one** shared device file, with fences
     /// coalescing through the device's group-commit queue
     /// ([`crate::PersistDevice`]): K pools' concurrent fences ride one
-    /// `fsync` instead of paying K. Coalescing knobs come from the
-    /// provisioning [`PmemConfig`] (`coalesce_window`, `coalesce_max_riders`).
+    /// `fsync` instead of paying K.
     Device {
         /// The shared device file (created on first provision).
         path: PathBuf,

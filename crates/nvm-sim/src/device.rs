@@ -27,11 +27,9 @@
 //! # Leader election
 //!
 //! Like the in-shard combiner: the first fence to arrive while no leader is
-//! active elects itself, optionally waits out a short coalescing window
-//! ([`crate::PmemConfig::coalesce_window`]) for late riders, then takes the
-//! whole queue as one batch. Riders arriving during a batch's `fsync` park
-//! and form the next batch — natural group commit, no dedicated writer
-//! thread.
+//! active elects itself and takes the whole queue as one batch. Riders
+//! arriving during a batch's `fsync` park and form the next batch — natural
+//! group commit, no dedicated writer thread.
 
 use crate::cache::Line;
 use crate::error::NvmError;
@@ -44,12 +42,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const DEV_MAGIC: u64 = 0x4F4E4C4C_44455631; // "ONLL" "DEV1"
 const HEADER_SIZE: u64 = 4096;
 const SEG_ENTRY_SIZE: u64 = 24;
 const MAX_SEGMENTS: usize = ((HEADER_SIZE - 16) / SEG_ENTRY_SIZE) as usize;
+/// Most rider fences one leader absorbs into a single `fsync`; riders beyond
+/// it form the next batch.
+const MAX_RIDERS: u64 = 64;
 
 /// Environment variable arming a **process abort** inside the coalescing
 /// window, for the kill-9 crash matrix: `after-pwrites:<n>` aborts after the
@@ -205,14 +206,10 @@ struct DeviceInner {
     /// header; mutations rewrite the header durably.
     segments: Mutex<HashMap<u64, (u64, u64)>>,
     gc: Mutex<GcState>,
-    /// Wakes a window-waiting leader when another rider enqueues.
-    rider_arrived: Condvar,
     /// Wakes riders when a batch completes (or fails).
     batch_done: Condvar,
     poison: Poison,
     faults: FaultPlan,
-    window: Duration,
-    max_riders: usize,
     /// Per-rider time from enqueue until its batch's IO starts
     /// ("device.queue_wait_ns") — the convoy component satellite 2 splits out
     /// of the fence timer.
@@ -246,7 +243,7 @@ fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<DeviceInner>>> {
 impl PersistDevice {
     /// Opens (or creates) the device file at `path` and returns the
     /// process-shared handle for it. The first opener's `cfg` fixes the
-    /// device's coalescing knobs and telemetry sink; later openers join it.
+    /// device's fault plan and telemetry sink; later openers join it.
     pub fn handle(path: impl Into<PathBuf>, cfg: &PmemConfig) -> Result<PersistDevice, NvmError> {
         let path = path.into();
         let mut reg = registry().lock().unwrap();
@@ -342,7 +339,6 @@ impl PersistDevice {
             lines,
             enqueued_at: inner.queue_wait_hist.is_enabled().then(Instant::now),
         });
-        inner.rider_arrived.notify_one();
         loop {
             if my_batch <= gc.failed_through {
                 // This fence's batch failed transiently: its bytes never got
@@ -460,12 +456,9 @@ impl DeviceInner {
                 next_batch: 1,
                 ..GcState::default()
             }),
-            rider_arrived: Condvar::new(),
             batch_done: Condvar::new(),
             poison: Poison::default(),
             faults,
-            window: cfg.coalesce_window,
-            max_riders: cfg.coalesce_max_riders.max(1),
             queue_wait_hist: telemetry.histogram("device.queue_wait_ns"),
             riders_hist: telemetry.histogram("device.riders_per_fsync"),
             fence_hist: telemetry.histogram("file.fence_ns"),
@@ -474,27 +467,13 @@ impl DeviceInner {
         })
     }
 
-    /// Leader duty: optionally wait out the coalescing window, take the whole
-    /// queue as one batch, do the IO (pwrites, one fsync), publish the result.
-    /// Called with the queue lock held; returns with it re-acquired.
+    /// Leader duty: take the whole queue as one batch, do the IO (pwrites, one
+    /// fsync), publish the result. Called with the queue lock held; returns
+    /// with it re-acquired.
     fn lead_batch<'a>(
         &'a self,
         mut gc: std::sync::MutexGuard<'a, GcState>,
     ) -> std::sync::MutexGuard<'a, GcState> {
-        if !self.window.is_zero() {
-            let deadline = Instant::now() + self.window;
-            while gc.queue.len() < self.max_riders {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self.rider_arrived.wait_timeout(gc, deadline - now).unwrap();
-                gc = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
         let mut batch = std::mem::take(&mut gc.queue);
         let mut batch_id = gc.next_batch;
         gc.next_batch += 1;
@@ -517,7 +496,7 @@ impl DeviceInner {
                     write_lines_at(&mut file, &self.path, req.base, &req.lines, &self.faults)?;
                 }
                 riders += batch.len() as u64;
-                if riders >= self.max_riders as u64 {
+                if riders >= MAX_RIDERS {
                     break;
                 }
                 let mut gc = self.gc.lock().unwrap();
@@ -728,23 +707,5 @@ mod tests {
         // Poisoned: subsequent fences fail with the original cause, typed.
         let err2 = d.submit_fence(base, vec![(1, line)]).unwrap_err();
         assert!(err2.to_string().contains("injected EIO"), "{err2}");
-    }
-
-    #[test]
-    fn window_waits_for_riders_up_to_deadline() {
-        let dir = ScratchDir::new("device-window").unwrap();
-        let cfg = PmemConfig::default()
-            .coalesce_window(Duration::from_micros(200))
-            .coalesce_max_riders(2);
-        let d = PersistDevice::handle(dir.path().join("pool.dev"), &cfg).unwrap();
-        let base = d.create_segment("s", 8192).unwrap();
-        // A single fence must still complete (deadline expiry, no riders).
-        d.submit_fence(base, vec![(0, [2u8; CACHE_LINE_SIZE])])
-            .unwrap();
-        let line = [3u8; CACHE_LINE_SIZE];
-        d.submit_fence(base, vec![(1, line)]).unwrap();
-        let mut buf = [0u8; CACHE_LINE_SIZE];
-        d.read_at(base, CACHE_LINE_SIZE as u64, &mut buf).unwrap();
-        assert_eq!(buf, line);
     }
 }

@@ -76,18 +76,10 @@ pub struct PmemConfig {
     /// Metric sink every layer built on this pool records into (fence and
     /// fsync wall time here in the backend, entry sizes in the persist-log,
     /// phase spans and combiner batches in the core). Disabled by default:
-    /// a disabled sink records nothing and reads no clocks — the telemetry
-    /// bench enforces < 2% hot-path overhead in that state.
+    /// a disabled sink records nothing and reads no clocks — the workspace's
+    /// `disabled_telemetry_overhead_within_two_percent` test
+    /// (`tests/cost_gates.rs`) holds that state to < 2% hot-path overhead.
     pub telemetry: Telemetry,
-    /// Maximum time a group-commit leader on a shared [`crate::PersistDevice`]
-    /// waits for further riders before committing the batch. Zero (the
-    /// default) means commit immediately — coalescing then still happens
-    /// naturally, because fences arriving during a batch's `fsync` form the
-    /// next batch. Ignored by the simulator and by private-file pools.
-    pub coalesce_window: Duration,
-    /// Commit a device batch as soon as it holds this many riders, even if
-    /// the coalescing window has not elapsed.
-    pub coalesce_max_riders: usize,
     /// Scheduled IO faults every backend built from this config honors (see
     /// [`crate::FaultPlan`]). Empty by default — an empty plan costs one
     /// relaxed atomic load per IO event. Clones share the schedule:
@@ -105,8 +97,6 @@ impl Default for PmemConfig {
             crash_seed: 0xC0FFEE,
             fence_penalty: Duration::ZERO,
             telemetry: Telemetry::disabled(),
-            coalesce_window: Duration::ZERO,
-            coalesce_max_riders: 64,
             fault_plan: FaultPlan::default(),
         }
     }
@@ -166,18 +156,6 @@ impl PmemConfig {
     /// Sets the seed used for crash-time and eviction randomness.
     pub fn crash_seed(mut self, seed: u64) -> Self {
         self.crash_seed = seed;
-        self
-    }
-
-    /// Sets the group-commit coalescing window for shared-device pools.
-    pub fn coalesce_window(mut self, window: Duration) -> Self {
-        self.coalesce_window = window;
-        self
-    }
-
-    /// Sets the rider count that commits a device batch early.
-    pub fn coalesce_max_riders(mut self, riders: usize) -> Self {
-        self.coalesce_max_riders = riders;
         self
     }
 

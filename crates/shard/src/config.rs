@@ -26,7 +26,7 @@ pub struct ShardConfig {
     /// [`ShardConfig::open_pools`]. With [`BackendSpec::device`], every shard
     /// becomes a segment of one shared device file and all shard fences go
     /// through that device's group-commit executor (see
-    /// [`ShardConfig::coalesce_window_us`]).
+    /// `nvm_sim::PersistDevice`).
     pub backend: BackendSpec,
 }
 
@@ -100,25 +100,6 @@ impl ShardConfig {
         format!("{}/shard{index}", self.name)
     }
 
-    /// Convenience: sets the persist executor's fence-coalescing window in
-    /// microseconds (see `PmemConfig::coalesce_window`). Only meaningful with
-    /// [`BackendSpec::device`], where every shard pool on the same device file
-    /// shares one group-commit executor: a fence leader waits up to this long
-    /// for rider fences from other shards before issuing the shared `fsync`.
-    pub fn coalesce_window_us(mut self, us: u64) -> Self {
-        self.pmem = self
-            .pmem
-            .coalesce_window(std::time::Duration::from_micros(us));
-        self
-    }
-
-    /// Convenience: caps how many rider fences one coalesced `fsync` may carry
-    /// (see `PmemConfig::coalesce_max_riders`).
-    pub fn coalesce_max_riders(mut self, n: usize) -> Self {
-        self.pmem = self.pmem.coalesce_max_riders(n);
-        self
-    }
-
     /// Convenience: enables fence-amortized group persist with groups of up to
     /// `n` operations per shard (see `OnllConfig::group_persist`).
     pub fn group_persist(mut self, n: usize) -> Self {
@@ -153,7 +134,6 @@ impl ShardConfig {
     pub(crate) fn shard_onll_config(&self, index: usize) -> OnllConfig {
         let mut cfg = self.base.clone();
         cfg.name = self.shard_label(index);
-        cfg.backend = self.backend.clone();
         cfg
     }
 }

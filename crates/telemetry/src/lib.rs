@@ -15,8 +15,9 @@
 //!   allocation. Every metric handle it creates is a no-op; recording is a
 //!   single branch on a `None`. Layers guard their `Instant::now()` calls on
 //!   [`Telemetry::is_enabled`] / [`Histogram::is_enabled`], so a disabled
-//!   sink costs neither time reads nor atomics. The bench suite enforces
-//!   this contract: `BENCH_telemetry.json` asserts < 2% hot-path overhead
+//!   sink costs neither time reads nor atomics. The workspace's
+//!   `disabled_telemetry_overhead_within_two_percent` test
+//!   (`tests/cost_gates.rs`) holds this contract: < 2% hot-path overhead
 //!   with telemetry disabled.
 //! * **Enabled** ([`Telemetry::enabled`]): metrics register lazily by name in
 //!   a `Mutex`-protected map (locked at *registration* only, never while

@@ -25,7 +25,7 @@
 //! ```
 
 use remembering_consistently::harness::telemetry_histogram_table;
-use remembering_consistently::nvm::{BackendSpec, PmemConfig, Telemetry};
+use remembering_consistently::nvm::{BackendSpec, NvmPool, PmemConfig, Telemetry};
 use remembering_consistently::objects::{KvRead, KvSpec, KvValue};
 use remembering_consistently::onll::{Durable, OnllConfig, RecoveryReport};
 use remembering_consistently::restart_protocol as proto;
@@ -83,20 +83,25 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
-fn config(args: &Args) -> OnllConfig {
+/// The object's name, which is also its pool's label on the backend.
+const NAME: &str = "restart-kv";
+
+fn backend(args: &Args) -> BackendSpec {
     // `--coalesce` places the pool on a shared group-commit device file whose
     // fences go through the persist executor (coalesced fsyncs); the default
     // is a private file with one fsync per fence. Both modes honor
     // `ONLL_DEVICE_ABORT` for the kill-9 coalescing-window matrix.
-    let backend = if args.coalesce {
+    if args.coalesce {
         BackendSpec::device(std::path::Path::new(&args.dir).join("restart-kv.device"))
     } else {
         BackendSpec::file(&args.dir)
-    };
-    let mut cfg = OnllConfig::named("restart-kv")
+    }
+}
+
+fn config(args: &Args) -> OnllConfig {
+    let mut cfg = OnllConfig::named(NAME)
         .max_processes(2)
-        .log_capacity(args.ops as usize + 16)
-        .backend(backend);
+        .log_capacity(args.ops as usize + 16);
     if args.checkpoint_every > 0 {
         cfg = cfg
             .checkpoint_every(args.checkpoint_every)
@@ -155,8 +160,8 @@ fn recover(
     args: &Args,
     telemetry: &Telemetry,
 ) -> Result<(Durable<KvSpec>, RecoveryReport), String> {
-    Durable::<KvSpec>::recover_in_with_checkpoints(pmem(telemetry), config(args))
-        .map_err(|e| e.to_string())
+    let pool = NvmPool::reopen(&backend(args), pmem(telemetry), NAME).map_err(|e| e.to_string())?;
+    Durable::<KvSpec>::recover_with_checkpoints(pool, config(args)).map_err(|e| e.to_string())
 }
 
 fn main() {
@@ -168,8 +173,10 @@ fn main() {
     };
     match args.mode.as_str() {
         "run" => {
-            let object = Durable::<KvSpec>::create_in(pmem(&telemetry), config(&args))
-                .expect("create file-backed store");
+            let pool = NvmPool::provision(&backend(&args), pmem(&telemetry), NAME)
+                .expect("provision file-backed pool");
+            let object =
+                Durable::<KvSpec>::create(pool, config(&args)).expect("create file-backed store");
             emit(format_args!("READY create"));
             apply_workload(&args, &object, 0);
             report_telemetry(&telemetry);

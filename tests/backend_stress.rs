@@ -15,7 +15,7 @@
 use remembering_consistently::harness::{
     check_linearizability, run_sharded_kv_workload, History, OpRecord, SubmitMode, WorkloadMix,
 };
-use remembering_consistently::nvm::{BackendSpec, PmemConfig, ScratchDir};
+use remembering_consistently::nvm::{BackendSpec, NvmPool, PmemConfig, ScratchDir};
 use remembering_consistently::objects::{
     CounterOp, CounterRead, CounterSpec, KvOp, KvRead, KvSpec, KvValue,
 };
@@ -61,13 +61,15 @@ fn stress_counter(file: bool) {
     let (spec, _cleanup) = backend_for("stress-counter", file);
     let cfg = OnllConfig::named("stress-counter")
         .max_processes(THREADS)
-        .log_capacity(THREADS * WINDOWS * OPS_PER_THREAD + 16)
-        .backend(spec);
-    let object = Durable::<CounterSpec>::create_in(
+        .log_capacity(THREADS * WINDOWS * OPS_PER_THREAD + 16);
+    let pool = NvmPool::provision(
+        &spec,
         PmemConfig::with_capacity(32 << 20).apply_pending_at_crash(0.0),
-        cfg,
+        &cfg.name,
     )
-    .unwrap_or_else(|e| panic!("{label}: create failed: {e}"));
+    .unwrap_or_else(|e| panic!("{label}: provision failed: {e}"));
+    let object = Durable::<CounterSpec>::create(pool, cfg)
+        .unwrap_or_else(|e| panic!("{label}: create failed: {e}"));
 
     let mut quiescent_value = 0i64;
     let mut expected_total = 0i64;

@@ -23,7 +23,7 @@
 use remembering_consistently::harness::{
     check_durable_linearizability, check_linearizability, History,
 };
-use remembering_consistently::nvm::{BackendSpec, CrashTrigger, PmemConfig, ScratchDir};
+use remembering_consistently::nvm::{BackendSpec, CrashTrigger, NvmPool, PmemConfig, ScratchDir};
 use remembering_consistently::objects::{CounterOp, CounterRead, CounterSpec};
 use remembering_consistently::onll::{Durable, OnllConfig, OpId, ResolveOutcome};
 
@@ -55,12 +55,12 @@ fn all_or_nothing(file: bool, arm: CrashArm) {
     let cfg = OnllConfig::named("combined-batch")
         .max_processes(3)
         .log_capacity(64)
-        .group_persist(2)
-        .backend(spec);
+        .group_persist(2);
     let pmem = PmemConfig::with_capacity(32 << 20).apply_pending_at_crash(0.0);
-    let object = Durable::<CounterSpec>::create_in(pmem, cfg.clone())
+    let pool = NvmPool::provision(&spec, pmem, &cfg.name)
+        .unwrap_or_else(|e| panic!("{label}: provision failed: {e}"));
+    let object = Durable::<CounterSpec>::create(pool.clone(), cfg.clone())
         .unwrap_or_else(|e| panic!("{label}: create failed: {e}"));
-    let pool = object.pool().clone();
     let service = object.service(2).unwrap();
     let mut a = service.client().unwrap();
     let mut b = service.client().unwrap();
@@ -206,14 +206,14 @@ fn service_crash_run(file: bool, threads: usize, ops: usize, crash_after_events:
     let cfg = OnllConfig::named("service-crash")
         .max_processes(threads + 1)
         .log_capacity(threads * ops + 16)
-        .group_persist(threads.max(2))
-        .backend(spec);
+        .group_persist(threads.max(2));
     let pmem = PmemConfig::with_capacity(64 << 20)
         .apply_pending_at_crash(0.0)
         .crash_seed(seed ^ 0xBADC0FFE);
-    let object = Durable::<CounterSpec>::create_in(pmem, cfg.clone())
+    let pool = NvmPool::provision(&spec, pmem, &cfg.name)
+        .unwrap_or_else(|e| panic!("{label}: provision failed: {e}"));
+    let object = Durable::<CounterSpec>::create(pool.clone(), cfg.clone())
         .unwrap_or_else(|e| panic!("{label}: create failed: {e}"));
-    let pool = object.pool().clone();
     let service = object.service(threads).unwrap();
     let history: History<CounterOp, CounterRead, i64> = History::new();
 

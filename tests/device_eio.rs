@@ -10,7 +10,7 @@
 //! is served by a later pass (its submitter self-elects) whose fence fails
 //! with the same poisoned-device error. Either way `submit()` returns `Err`.
 
-use remembering_consistently::nvm::{BackendSpec, PersistDevice, PmemConfig, ScratchDir};
+use remembering_consistently::nvm::{BackendSpec, NvmPool, PersistDevice, PmemConfig, ScratchDir};
 use remembering_consistently::objects::{CounterOp, CounterRead, CounterSpec};
 use remembering_consistently::onll::{Durable, OnllConfig, ResolveOutcome};
 
@@ -21,12 +21,13 @@ fn pwrite_eio_mid_batch_fails_every_waiter_and_recovers_on_reopen() {
     let cfg = OnllConfig::named("eio-ctr")
         .max_processes(4)
         .log_capacity(256)
-        .group_persist(2)
-        .backend(BackendSpec::device(&device_path));
+        .group_persist(2);
+    let spec = BackendSpec::device(&device_path);
     let pmem = PmemConfig::with_capacity(8 << 20);
     let mut receipts = Vec::new();
     {
-        let object = Durable::<CounterSpec>::create_in(pmem.clone(), cfg.clone()).unwrap();
+        let pool = NvmPool::provision(&spec, pmem.clone(), &cfg.name).unwrap();
+        let object = Durable::<CounterSpec>::create(pool, cfg.clone()).unwrap();
         let service = object.service(3).unwrap();
         // A committed baseline recovery must preserve.
         let mut warm = service.client().unwrap();
@@ -71,7 +72,8 @@ fn pwrite_eio_mid_batch_fails_every_waiter_and_recovers_on_reopen() {
 
     // Reopening the device file builds a fresh executor with fresh poison
     // state; recovery sees only what was durable before the EIO.
-    let (object, report) = Durable::<CounterSpec>::recover_in(pmem, cfg).unwrap();
+    let pool = NvmPool::reopen(&spec, pmem, &cfg.name).unwrap();
+    let (object, report) = Durable::<CounterSpec>::recover(pool, cfg).unwrap();
     assert_eq!(
         report.durable_index, 1,
         "only the pre-EIO baseline survived"

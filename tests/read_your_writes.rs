@@ -16,7 +16,7 @@
 //!   connections, so snapshot GETs observe every write acked by the previous
 //!   incarnation.
 
-use remembering_consistently::nvm::{BackendSpec, PmemConfig, ScratchDir};
+use remembering_consistently::nvm::{BackendSpec, NvmPool, PmemConfig, ScratchDir};
 use remembering_consistently::objects::{KvOp, KvRead, KvSpec, KvValue};
 use remembering_consistently::onll::{Durable, OnllConfig};
 use remembering_consistently::server::WireClient;
@@ -41,10 +41,10 @@ fn ack_then_snapshot_read(spec: BackendSpec) {
     let cfg = OnllConfig::named("ryw")
         // One process slot per client plus one for the service's combiner.
         .max_processes(threads + 1)
-        .log_capacity(threads * ops + 64)
-        .backend(spec);
-    let object = Durable::<KvSpec>::create_in(PmemConfig::with_capacity(64 << 20), cfg)
-        .expect("create object");
+        .log_capacity(threads * ops + 64);
+    let pool = NvmPool::provision(&spec, PmemConfig::with_capacity(64 << 20), &cfg.name)
+        .expect("provision pool");
+    let object = Durable::<KvSpec>::create(pool, cfg).expect("create object");
     let service = object.service(threads).expect("service");
 
     std::thread::scope(|scope| {
