@@ -17,16 +17,11 @@ pub struct OnllConfig {
     /// updates have been linearized past the newest published checkpoint
     /// watermark (requires the spec to implement `SnapshotSpec`; the trigger is
     /// evaluated by `ProcessHandle::maybe_checkpoint`, the automatic variant
-    /// `update_with_checkpoint`, or a background checkpointer). `None` disables
-    /// the ops-count trigger; if the log-bytes trigger is also `None`, the logs
-    /// retain the full history, as in the base construction.
+    /// `update_with_checkpoint`, or a background checkpointer). Setting it
+    /// also arms the capacity backstop (a log three-quarters full asks for a
+    /// checkpoint). `None` disables checkpointing: the logs retain the full
+    /// history, as in the base construction.
     pub checkpoint_interval: Option<u64>,
-    /// Log-bytes checkpoint trigger: a handle checkpoints whenever **its own**
-    /// persistent log holds at least this many bytes of live entries (logs are
-    /// single-writer, so only the owner's checkpoint can truncate its log
-    /// immediately — the trigger is self-correcting per process). Bounds the
-    /// NVM footprint independently of the update rate. `None` disables it.
-    pub checkpoint_log_bytes: Option<u64>,
     /// Size in bytes reserved for one serialized checkpoint of the object state.
     pub checkpoint_slot_bytes: usize,
     /// When prefix reclamation is enabled (checkpointing active), the trace prefix
@@ -52,7 +47,6 @@ impl Default for OnllConfig {
             max_processes: 8,
             log_capacity_entries: 4096,
             checkpoint_interval: None,
-            checkpoint_log_bytes: None,
             checkpoint_slot_bytes: 64 * 1024,
             reclaim_batch: 1024,
             max_group_ops: 1,
@@ -90,17 +84,9 @@ impl OnllConfig {
         self
     }
 
-    /// Enables the log-bytes checkpoint trigger: a handle checkpoints whenever
-    /// its own log holds at least `bytes` of live entries.
-    pub fn checkpoint_when_log_exceeds(mut self, bytes: u64) -> Self {
-        assert!(bytes >= 1);
-        self.checkpoint_log_bytes = Some(bytes);
-        self
-    }
-
-    /// True if any checkpoint trigger is configured.
+    /// True if checkpointing is on (the ops-count trigger is configured).
     pub fn checkpointing_enabled(&self) -> bool {
-        self.checkpoint_interval.is_some() || self.checkpoint_log_bytes.is_some()
+        self.checkpoint_interval.is_some()
     }
 
     /// Sets the size reserved for one serialized checkpoint.
@@ -136,7 +122,6 @@ mod tests {
         assert!(c.max_processes >= 1);
         assert!(c.log_capacity_entries > 0);
         assert!(c.checkpoint_interval.is_none());
-        assert!(c.checkpoint_log_bytes.is_none());
         assert!(!c.checkpointing_enabled());
     }
 
@@ -145,14 +130,6 @@ mod tests {
         assert!(OnllConfig::default()
             .checkpoint_every(10)
             .checkpointing_enabled());
-        assert!(OnllConfig::default()
-            .checkpoint_when_log_exceeds(1 << 20)
-            .checkpointing_enabled());
-        let both = OnllConfig::default()
-            .checkpoint_every(10)
-            .checkpoint_when_log_exceeds(4096);
-        assert_eq!(both.checkpoint_interval, Some(10));
-        assert_eq!(both.checkpoint_log_bytes, Some(4096));
     }
 
     #[test]

@@ -26,7 +26,8 @@ use parking_lot::{Mutex, RwLock};
 use persist_log::{reconstruct_history_from, LogConfig, PersistentLog};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
+use std::thread::Thread;
 
 const META_MAGIC: u64 = 0x4F4E4C_4C4D455441; // "ONLL" "META"
 
@@ -94,9 +95,19 @@ pub(crate) struct Shared<S: SequentialSpec> {
     /// publish.
     pub(crate) resolve_floor: Vec<AtomicU64>,
     /// Live-entry count of each process's persistent log, maintained by the log's
-    /// owner on append/truncate. Drives the log-bytes checkpoint trigger without
-    /// scanning other processes' logs.
+    /// owner on append/truncate, so footprint queries need not scan the logs.
     pub(crate) log_live_entries: Vec<AtomicU64>,
+    /// The capacity backstop: set by a log's owner that finds its ring full,
+    /// or a quarter free or less after an append; cleared by the next
+    /// checkpoint.
+    pub(crate) checkpoint_due: AtomicBool,
+    /// The pid and thread of the handle parked in
+    /// `ProcessHandle::park_until_due`, which the owner raising
+    /// `checkpoint_due` unparks; cleared when that handle drops.
+    pub(crate) maintainer: Mutex<Option<(usize, Thread)>>,
+    /// Notified, under `maintainer`, when a checkpoint publishes: the owner
+    /// of a full log waits here for the maintainer's checkpoint.
+    pub(crate) checkpointed: Condvar,
     /// Execution index represented by the trace's sentinel (checkpoint index).
     pub(crate) base_index: u64,
     /// Builds the state corresponding to the sentinel (INITIALIZE or the decoded
@@ -311,6 +322,9 @@ impl<S: SequentialSpec> Durable<S> {
             snapshot: RwLock::new(None),
             recovered: Mutex::new(HashMap::new()),
             commit_poisoned: AtomicBool::new(false),
+            checkpoint_due: AtomicBool::new(false),
+            maintainer: Mutex::new(None),
+            checkpointed: Condvar::new(),
             hooks,
             log_cfg,
             log_bases,
@@ -479,6 +493,9 @@ impl<S: SequentialSpec> Durable<S> {
             snapshot: RwLock::new(None),
             recovered: Mutex::new(recovered_set),
             commit_poisoned: AtomicBool::new(false),
+            checkpoint_due: AtomicBool::new(false),
+            maintainer: Mutex::new(None),
+            checkpointed: Condvar::new(),
             hooks,
             log_cfg,
             log_bases,
@@ -690,8 +707,7 @@ impl<S: SequentialSpec> Durable<S> {
     /// Upper bound on the bytes of live entries in the largest per-process
     /// persistent log, maintained by log owners without scanning NVM. Counts
     /// live entries at full slot stride; entries are variable-length, so the
-    /// exact occupancy (`PersistentLog::live_bytes`, which drives each owner's
-    /// log-bytes checkpoint trigger) is usually much smaller.
+    /// exact occupancy (`PersistentLog::live_bytes`) is usually much smaller.
     pub fn max_log_live_bytes(&self) -> u64 {
         let max_entries = self
             .shared

@@ -13,6 +13,7 @@ use exec_trace::TraceNode;
 use persist_log::{LogError, PersistentLog};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Extra attempts at the fuzzy-window log append when its persistent fence
 /// fails (e.g. a transient `EIO` injected by `nvm_sim::FaultPlan`, or a device
@@ -24,6 +25,10 @@ use std::sync::Arc;
 /// that is required for exactly-once (the ordered-but-unpersisted window must
 /// never be linearized past).
 pub(crate) const PERSIST_RETRIES: u32 = 3;
+
+/// How long the owner of a full log waits for the object's maintenance
+/// thread to publish a checkpoint before refusing with `LogFull`.
+const CHECKPOINT_WAIT: Duration = Duration::from_millis(100);
 
 /// A per-process handle on a [`crate::Durable`] object.
 ///
@@ -225,6 +230,9 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         self.check_commit_poisoned()?;
         self.compact_log_below_watermark();
         if self.log.free_slots() == 0 {
+            self.await_checkpoint();
+        }
+        if self.log.free_slots() == 0 {
             return Err(OnllError::LogFull);
         }
 
@@ -276,8 +284,51 @@ impl<S: SequentialSpec> ProcessHandle<S> {
             reply(op_id, value);
         }
         self.publish_progress();
+        self.raise_backstop();
         hooks.fire(Phase::BeforeResponse, pid);
         Ok(())
+    }
+
+    /// The capacity backstop, raised by the log's owner after its append: a
+    /// ring a quarter free or less marks a checkpoint due and wakes the thread
+    /// parked in [`ProcessHandle::park_until_due`], if any. Runs after the
+    /// linearize sweep, so the checkpoint it wakes covers this batch.
+    fn raise_backstop(&self) {
+        let cfg = &self.shared.config;
+        if cfg.checkpointing_enabled()
+            && self.log.free_slots() <= cfg.log_capacity_entries / 4
+            && !self.shared.checkpoint_due.swap(true, Ordering::AcqRel)
+        {
+            if let Some((_, thread)) = self.shared.maintainer.lock().as_ref() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// A full log raises the backstop (a log recovered full took no append
+    /// to raise it). If the object has a maintenance thread, the owner wakes
+    /// it and waits up to [`CHECKPOINT_WAIT`] for a watermark above what it
+    /// last compacted to, then compacts below it, rather than refusing at
+    /// once. So `LogFull` with a maintainer running means its checkpoints
+    /// fail or take longer than the wait.
+    fn await_checkpoint(&mut self) {
+        if !self.shared.config.checkpointing_enabled() {
+            return;
+        }
+        let shared = self.shared.clone();
+        shared.checkpoint_due.store(true, Ordering::Release);
+        let maintainer = shared.maintainer.lock();
+        let Some((_, thread)) = maintainer.as_ref() else {
+            return;
+        };
+        thread.unpark();
+        let compacted = self.truncated_below;
+        let _ = shared
+            .checkpointed
+            .wait_timeout_while(maintainer, CHECKPOINT_WAIT, |_| {
+                shared.checkpoint_watermark.load(Ordering::Acquire) <= compacted
+            });
+        self.compact_log_below_watermark();
     }
 
     /// Panicking variant of [`ProcessHandle::try_update_group`].
@@ -486,6 +537,9 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         if !self.shared.config.checkpointing_enabled() {
             return Err(OnllError::CheckpointingDisabled);
         }
+        // Cleared first: an append past the backstop raises it again, so a
+        // failed checkpoint is retried on the next append, not in a loop.
+        self.shared.checkpoint_due.store(false, Ordering::Release);
         let view = &self.view;
         let idx = view.idx();
         let mut bytes = Vec::new();
@@ -531,6 +585,10 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         for (p, floor) in floors.iter().enumerate() {
             self.shared.resolve_floor[p].fetch_max(*floor, Ordering::AcqRel);
         }
+        // Wake owners waiting on a full log. Taking the lock orders this after
+        // any owner's check of the watermark, so none waits past it.
+        drop(self.shared.maintainer.lock());
+        self.shared.checkpointed.notify_all();
         // The compacted prefix is covered by the checkpoint: identities of
         // recovered operations at or below the watermark are no longer
         // individually answerable (documented contract), so drop them instead
@@ -592,43 +650,32 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         Ok(idx)
     }
 
-    /// True if a configured checkpoint trigger currently fires: the ops-count
-    /// trigger (at least `checkpoint_interval` linearized updates past the
-    /// newest published watermark, as seen by this handle's view), the
-    /// log-bytes trigger (**this handle's own** log at or above
-    /// `checkpoint_log_bytes`), or the capacity backstop (this handle's log
-    /// three-quarters full in *entries*). The backstop exists because
-    /// `PersistentLog::live_bytes` counts true variable-length occupancy — a
-    /// byte threshold sized against the worst-case slot stride might otherwise
-    /// never fire, letting the ring fill and updates fail with `LogFull`
-    /// while checkpointing is enabled and would have compacted it.
-    ///
-    /// The log-bytes trigger is deliberately per-owner: a checkpoint truncates
-    /// only the checkpointing process's log immediately (logs are
-    /// single-writer), so measuring another process's log would keep the
-    /// trigger armed on state this handle cannot compact — checkpointing once
-    /// per update without ever clearing the condition. Own-log measurement is
-    /// self-correcting: the checkpoint that fires empties the log that fired
-    /// it.
+    /// True if a checkpoint trigger currently fires: the ops-count trigger
+    /// (at least `checkpoint_interval` linearized updates past the newest
+    /// published watermark, as seen by this handle's view) or the capacity
+    /// backstop (some process's log was found full, or an append left it a
+    /// quarter free or less, and no checkpoint has started since). Only a
+    /// log's owner sees it fill — a background checkpointer's own log stays
+    /// empty — so the owner raises the backstop, and truncates below the new
+    /// watermark on its next append.
     pub fn should_checkpoint(&self) -> bool {
-        let cfg = &self.shared.config;
         let watermark = self.shared.checkpoint_watermark.load(Ordering::Acquire);
-        if let Some(interval) = cfg.checkpoint_interval {
-            if self.view_index().saturating_sub(watermark) >= interval {
-                return true;
-            }
+        self.shared
+            .config
+            .checkpoint_interval
+            .is_some_and(|interval| self.view_index().saturating_sub(watermark) >= interval)
+            || self.shared.checkpoint_due.load(Ordering::Acquire)
+    }
+
+    /// Registers the calling thread, until this handle drops, as the one log
+    /// owners wake and the owner of a full log waits for; then parks it until
+    /// the capacity backstop is raised (at once if it is up) or `timeout`
+    /// passes. A background checkpointer waits here between passes.
+    pub fn park_until_due(&self, timeout: Duration) {
+        *self.shared.maintainer.lock() = Some((self.pid, std::thread::current()));
+        if !self.shared.checkpoint_due.load(Ordering::Acquire) {
+            std::thread::park_timeout(timeout);
         }
-        if let Some(limit) = cfg.checkpoint_log_bytes {
-            if self.log.live_bytes() >= limit {
-                return true;
-            }
-        }
-        // Capacity backstop: never let the ring run full while checkpointing
-        // is enabled, whatever the byte threshold was sized against.
-        if cfg.checkpointing_enabled() && self.log.free_slots() <= cfg.log_capacity_entries / 4 {
-            return true;
-        }
-        false
     }
 
     /// Checkpoints if a trigger fires (see [`ProcessHandle::should_checkpoint`]);
@@ -676,6 +723,12 @@ fn log_error(e: LogError) -> OnllError {
 
 impl<S: SequentialSpec> Drop for ProcessHandle<S> {
     fn drop(&mut self) {
+        // A maintenance thread's registration ends with its handle, before
+        // the slot is free to claim (and register) again.
+        self.shared
+            .maintainer
+            .lock()
+            .take_if(|(pid, _)| *pid == self.pid);
         // Lower the slot's progress back to the conservative floor *before*
         // releasing the claim: the next claimer's fresh view seeds from the
         // newest snapshot, and trace reclamation must never observe a claimed

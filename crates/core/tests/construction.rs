@@ -683,18 +683,17 @@ fn repeated_crash_recover_cycles_accumulate_state() {
 
 #[test]
 fn capacity_backstop_checkpoints_before_the_ring_fills() {
-    // Entries are variable-length, so a log-bytes threshold sized against the
-    // worst-case slot stride may never be reached by true occupancy. With
-    // checkpointing enabled, the capacity backstop must still compact the
-    // ring before appends fail with LogFull.
+    // With checkpointing enabled, the capacity backstop must compact the ring
+    // before appends fail with LogFull, however far off the ops-count
+    // trigger is.
     let p = pool();
     let cfg = OnllConfig::named("backstop")
         .log_capacity(32)
-        // Unreachably high byte threshold: 32 single-op entries occupy far
-        // less than this, so only the backstop can fire.
-        .checkpoint_when_log_exceeds(1 << 30)
+        // Unreachable ops-count trigger: 200 updates never get there, so
+        // only the backstop can fire.
+        .checkpoint_every(1 << 30)
         .checkpoint_slot_bytes(256);
-    let obj = Durable::<CounterSpec>::create(p.clone(), cfg).unwrap();
+    let obj = Durable::<CounterSpec>::create(p.clone(), cfg.clone()).unwrap();
     let mut h = obj.register().unwrap();
     for i in 0..200 {
         h.update_with_checkpoint(CounterOp::Add(1))
@@ -705,6 +704,21 @@ fn capacity_backstop_checkpoints_before_the_ring_fills() {
         obj.checkpoint_watermark() > 0,
         "the capacity backstop never checkpointed"
     );
+
+    // A log recovered full takes no append to raise the backstop: its owner
+    // raises it on finding the log full, and `maybe_checkpoint` compacts.
+    while h.try_update(CounterOp::Add(1)).is_ok() {}
+    drop((h, obj));
+    p.crash_and_restart();
+    let (obj, _) = Durable::<CounterSpec>::recover_with_checkpoints(p, cfg).unwrap();
+    let mut h = obj.register().unwrap();
+    assert_eq!(h.try_update(CounterOp::Add(1)), Err(OnllError::LogFull));
+    h.sync();
+    assert!(
+        h.maybe_checkpoint().unwrap().is_some(),
+        "the backstop never fired"
+    );
+    h.try_update(CounterOp::Add(1)).unwrap();
 }
 
 #[test]

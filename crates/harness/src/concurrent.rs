@@ -1,24 +1,19 @@
-//! Multi-threaded drivers and fence audits for cross-thread combining
-//! front-ends.
+//! Multi-threaded fence audits for cross-thread combining front-ends.
 //!
-//! The sharded driver ([`crate::run_sharded_kv_workload`]) measures *aggregate*
-//! throughput of one facade; this module drives N client threads against any
+//! [`audit_concurrent_workload`] drives N client threads against any
 //! [`DurableObject`] implementation — the ONLL combining service
 //! ([`onll::DurableService`] via [`crate::adapter::ServiceClientAdapter`]), the
 //! `baselines` flat combiner, or plain per-thread handles — under identical
-//! seeded workloads, so a caller can compare them
-//! apples-to-apples. It also audits the amortized per-operation fence bounds
+//! seeded workloads, and audits the amortized per-operation fence bounds
 //! ([`FenceAudit::satisfies_amortized_bounds`]): at most one inherent fence in
 //! any operation's own window, and no fewer than one fence per `max_batch`
 //! operations in aggregate — the inherent cost is amortized, never evaded.
 
 use crate::fence_audit::{audit_fence_bounds, FenceAudit};
-use crate::sharded::{RunReport, SubmitMode};
 use crate::workload::{Workload, WorkloadMix, WorkloadOp};
 use baselines::DurableObject;
 use nvm_sim::NvmPool;
 use onll::SequentialSpec;
-use std::time::Instant;
 
 /// Derives thread `t`'s workload seed from the run seed (same scheme as the
 /// sharded driver, so runs are reproducible from the reported seed alone).
@@ -27,85 +22,15 @@ pub fn thread_seed(seed: u64, thread: u64) -> u64 {
 }
 
 /// Drives `threads` client threads, each executing `ops_per_thread` seeded
-/// operations through its own handle (built by `make_handle`, once per thread,
-/// inside that thread), and reports aggregate throughput and fence counts
-/// summed over `pools`.
+/// operations through its own handle (built by `make_handle`, once per
+/// thread, inside that thread), and audits every operation's own persistence
+/// window on its executing thread (persistence counters are per thread). The
+/// per-thread audits are absorbed into one aggregate [`FenceAudit`].
+/// Single-pool objects only (windows are per pool).
 ///
 /// `next_op` draws one operation from a thread's seeded [`Workload`] stream —
 /// pass `Workload::next_counter_op` / `Workload::next_kv_op` or a custom
-/// generator. `mode` is recorded in the report verbatim (the handle decides
-/// how updates are actually submitted).
-#[allow(clippy::too_many_arguments)]
-pub fn run_concurrent_workload<S, H>(
-    make_handle: impl Fn(usize) -> H + Sync,
-    pools: &[NvmPool],
-    threads: usize,
-    ops_per_thread: usize,
-    mix: WorkloadMix,
-    seed: u64,
-    mode: SubmitMode,
-    next_op: impl Fn(&mut Workload) -> WorkloadOp<S::UpdateOp, S::ReadOp> + Sync,
-) -> RunReport
-where
-    S: SequentialSpec,
-    H: DurableObject<S>,
-{
-    let before = onll_shard::merged_global_stats(pools);
-    let start = Instant::now();
-    let make_handle = &make_handle;
-    let next_op = &next_op;
-    let (updates, reads) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut handle = make_handle(t);
-                    let mut workload = Workload::new(mix, thread_seed(seed, t as u64));
-                    let mut updates = 0u64;
-                    let mut reads = 0u64;
-                    for _ in 0..ops_per_thread {
-                        match next_op(&mut workload) {
-                            WorkloadOp::Update(u) => {
-                                updates += 1;
-                                handle.update(u);
-                            }
-                            WorkloadOp::Read(r) => {
-                                reads += 1;
-                                handle.read(&r);
-                            }
-                        }
-                    }
-                    (updates, reads)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker thread panicked"))
-            .fold((0, 0), |(u, r), (wu, wr)| (u + wu, r + wr))
-    });
-    let elapsed = start.elapsed();
-    // The full stats delta rides along (satellite fix: drivers used to keep
-    // only the fence count and drop the rest of the backend totals).
-    let delta = onll_shard::merged_global_stats(pools).delta(&before);
-    RunReport {
-        threads,
-        seed,
-        mode,
-        backend: pools.first().map_or("none", |p| p.backend_name()),
-        total_ops: updates + reads,
-        updates,
-        reads,
-        elapsed,
-        persistent_fences: delta.persistent_fences,
-        fence_totals: delta,
-        telemetry: onll_shard::merged_telemetry(pools),
-    }
-}
-
-/// Like [`run_concurrent_workload`], but additionally audits every operation's
-/// own persistence window on its executing thread (persistence counters are
-/// per thread) and returns the per-thread audits absorbed into one aggregate
-/// [`FenceAudit`]. Single-pool objects only (windows are per pool).
+/// generator.
 pub fn audit_concurrent_workload<S, H>(
     make_handle: impl Fn(usize) -> H + Sync,
     pool: &NvmPool,
@@ -164,37 +89,6 @@ mod tests {
         .unwrap()
         .service(threads)
         .unwrap()
-    }
-
-    #[test]
-    fn driver_counts_every_operation_and_carries_the_seed() {
-        let pool = NvmPool::new(PmemConfig::with_capacity(128 << 20));
-        let service = counter_service(&pool, 3);
-        let report = run_concurrent_workload::<CounterSpec, _>(
-            |_| ServiceClientAdapter::new(service.client().expect("client slot")),
-            std::slice::from_ref(&pool),
-            3,
-            100,
-            WorkloadMix::with_update_percent(50),
-            41,
-            SubmitMode::Combined,
-            Workload::next_counter_op,
-        );
-        assert_eq!(report.seed, 41);
-        assert_eq!(report.mode, SubmitMode::Combined);
-        assert_eq!(report.backend, "sim");
-        assert_eq!(report.total_ops, 300);
-        assert_eq!(report.updates + report.reads, 300);
-        // Combining can only reduce fences below one per update, never add.
-        assert!(report.persistent_fences <= report.updates);
-        // Full backend totals ride along; telemetry is None when disabled.
-        assert_eq!(
-            report.fence_totals.persistent_fences,
-            report.persistent_fences
-        );
-        assert!(report.fence_totals.stores > 0);
-        assert!(report.telemetry.is_none());
-        service.durable().check_invariants().unwrap();
     }
 
     #[test]

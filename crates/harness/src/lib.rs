@@ -21,13 +21,13 @@
 //! * [`fence_audit`] — helpers asserting the Theorem 5.1 per-operation fence bounds
 //!   over arbitrary workloads, including the amortized bounds of cross-thread
 //!   combining front-ends.
-//! * [`concurrent`] — multi-threaded drivers and merged fence audits for the
+//! * [`concurrent`] — multi-threaded merged fence audits for the
 //!   combining-commit service ([`onll::DurableService`]) and the baselines it
-//!   is benchmarked against.
+//!   is compared against.
 //! * [`sharded`] — multi-threaded drivers and aggregate fence audits for
 //!   [`onll_shard::ShardedDurable`] objects (the bounds must hold across all
 //!   shard pools at once).
-//! * [`report`] — plain-text table rendering for benchmark and example output.
+//! * [`report`] — plain-text table rendering for example output.
 
 #![warn(missing_docs)]
 
@@ -43,7 +43,7 @@ pub mod sharded;
 pub mod workload;
 
 pub use adapter::{CheckpointingOnllAdapter, OnllAdapter, ServiceClientAdapter};
-pub use concurrent::{audit_concurrent_workload, run_concurrent_workload};
+pub use concurrent::audit_concurrent_workload;
 pub use crash::{quick_crash_sweep, CrashExperiment, CrashOutcome};
 pub use fence_audit::{audit_fence_bounds, FenceAudit};
 pub use history::{Event, EventKind, History, OpRecord};
@@ -51,8 +51,6 @@ pub use linearizability::{
     check_durable_linearizability, check_linearizability, DurabilityViolation,
 };
 pub use lower_bound::{run_lower_bound_experiment, LowerBoundReport};
-pub use report::{telemetry_counter_table, telemetry_histogram_table, Table};
-pub use sharded::{
-    audit_sharded_fence_bounds, run_sharded_kv_workload, RunReport, ShardedRunSummary, SubmitMode,
-};
+pub use report::{telemetry_histogram_table, Table};
+pub use sharded::{audit_sharded_fence_bounds, run_sharded_kv_workload, RunReport, SubmitMode};
 pub use workload::{Workload, WorkloadMix, WorkloadOp};

@@ -1,10 +1,9 @@
-//! Plain-text tables for experiment and benchmark output.
+//! Plain-text tables for experiment and example output.
 //!
-//! The benchmarks regenerate the paper's comparisons as small aligned tables on
-//! stdout (who wins, by what factor), in addition to Criterion's own statistics.
-//! [`telemetry_histogram_table`] and [`telemetry_counter_table`] render a
-//! [`TelemetrySnapshot`] the same way, so examples and benches print latency
-//! distributions without each reinventing the formatting.
+//! The examples print the paper's comparisons as small aligned tables on
+//! stdout (who wins, by what factor). [`telemetry_histogram_table`] renders a
+//! [`TelemetrySnapshot`]'s histograms the same way, so examples and binaries
+//! print latency distributions without each reinventing the formatting.
 
 use nvm_sim::TelemetrySnapshot;
 
@@ -116,18 +115,6 @@ pub fn telemetry_histogram_table(title: &str, snapshot: &TelemetrySnapshot) -> T
     table
 }
 
-/// Renders the counters and gauges of a telemetry snapshot as one table.
-pub fn telemetry_counter_table(title: &str, snapshot: &TelemetrySnapshot) -> Table {
-    let mut table = Table::new(title, &["metric", "value"]);
-    for c in &snapshot.counters {
-        table.row(&[c.name.clone(), c.value.to_string()]);
-    }
-    for g in &snapshot.gauges {
-        table.row(&[g.name.clone(), g.value.to_string()]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,8 +156,5 @@ mod tests {
         let rendered = hist.render();
         assert!(rendered.contains("sim.fence_ns"));
         assert!(rendered.contains("p99"));
-        let counters = telemetry_counter_table("counters", &snap);
-        assert_eq!(counters.len(), 1);
-        assert!(counters.render().contains("ckpt.checkpoints"));
     }
 }

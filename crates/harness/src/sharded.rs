@@ -102,9 +102,6 @@ pub struct RunReport {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
-/// Former name of [`RunReport`].
-pub type ShardedRunSummary = RunReport;
-
 impl RunReport {
     /// Aggregate operations per second.
     pub fn ops_per_sec(&self) -> f64 {

@@ -602,6 +602,8 @@ impl std::fmt::Debug for PersistDevice {
 mod tests {
     use super::*;
     use crate::backend::ScratchDir;
+    use crate::fault::FaultRule;
+    use std::time::Duration;
 
     fn device(name: &str) -> (PersistDevice, ScratchDir) {
         let dir = ScratchDir::new(&format!("device-{name}")).unwrap();
@@ -662,10 +664,17 @@ mod tests {
     fn concurrent_fences_coalesce_into_fewer_fsyncs() {
         let telemetry = onll_telemetry::Telemetry::enabled();
         let dir = ScratchDir::new("device-coalesce").unwrap();
-        let cfg = PmemConfig::default().telemetry(telemetry.clone());
-        let d = PersistDevice::handle(dir.path().join("pool.dev"), &cfg).unwrap();
         let threads = 4;
         let rounds = 50u64;
+        // Every fsync stalls for 1 ms, so the other threads' fences queue
+        // behind the leader's and ride one batch. With the near-free fsyncs
+        // of a tmpfs, each fence could finish before the next one arrives.
+        let slow_fsyncs =
+            FaultRule::fsync_delay(1, Duration::from_millis(1)).times(threads as u64 * rounds);
+        let cfg = PmemConfig::default()
+            .telemetry(telemetry.clone())
+            .fault_plan(FaultPlan::new().rule(slow_fsyncs));
+        let d = PersistDevice::handle(dir.path().join("pool.dev"), &cfg).unwrap();
         let bases: Vec<u64> = (0..threads)
             .map(|i| d.create_segment(&format!("seg{i}"), 1 << 16).unwrap())
             .collect();

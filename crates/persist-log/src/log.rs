@@ -300,8 +300,8 @@ impl PersistentLog {
             .map(|e| e.execution_index)
     }
 
-    /// Bytes of NVM occupied by live entries (the log-bytes checkpoint-trigger
-    /// input). Counts each entry's occupied bytes — header plus variable-length
+    /// Bytes of NVM occupied by live entries (what a checkpoint's truncation
+    /// frees). Counts each entry's occupied bytes — header plus variable-length
     /// payload — not the fixed slot capacity it is ring-addressed by.
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes

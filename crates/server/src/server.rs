@@ -29,7 +29,7 @@ use crate::wire::{self, Reply, Request, WireError, WireResolved};
 use durable_objects::{KvOp, KvRead, KvSpec};
 use nvm_sim::{BackendSpec, Counter, FaultPlan, Histogram, PmemConfig, Telemetry};
 use onll::{OnllConfig, OnllError, ResolveOutcome};
-use onll_shard::{HashRouter, ShardConfig, ShardedDurable, ShardedService};
+use onll_shard::{CheckpointDaemon, HashRouter, ShardConfig, ShardedDurable, ShardedService};
 use std::io::BufWriter;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,6 +55,9 @@ const POLL_QUANTUM: Duration = Duration::from_millis(25);
 /// How long `serve` waits for its own probe connection to reach the
 /// listener before it falls back to polling accept.
 const WAKE_PROBE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How often each shard's checkpoint thread checks the ops-count trigger.
+const CHECKPOINT_POLL: Duration = Duration::from_millis(25);
 
 /// Configuration of an [`OnllServer`]'s file-backed sharded store.
 #[derive(Debug, Clone)]
@@ -107,16 +110,9 @@ impl ServerConfig {
         }
     }
 
-    /// The process slot the per-shard checkpoint thread claims (above every
-    /// session slot, so it can never shadow a reconnecting session's
-    /// deterministic identity).
-    fn checkpointer_pid(&self) -> usize {
-        self.max_clients + 1
-    }
-
     fn shard_config(&self) -> ShardConfig {
-        // Slots: pid 0 = combiner, pids 1..=max_clients = sessions, one more
-        // for the checkpoint thread. Batches are capped at
+        // Slots: pid 0 = combiner, pids 1..=max_clients = sessions, and the
+        // highest for the shard's checkpoint thread. Batches are capped at
         // `min(group, live clients)`, so a group smaller than max_clients is
         // safe — it only splits oversized windows into two fences.
         let base = OnllConfig::default()
@@ -169,7 +165,6 @@ pub fn sigterm_received() -> bool {
 /// and the per-shard degraded latches.
 pub struct ServerHealth {
     shutdown: AtomicBool,
-    drained: AtomicBool,
     active: AtomicUsize,
     timeouts: AtomicU64,
     busy_rejects: AtomicU64,
@@ -184,7 +179,6 @@ impl ServerHealth {
     fn new(shards: usize, telemetry: &Telemetry) -> Self {
         ServerHealth {
             shutdown: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             timeouts: AtomicU64::new(0),
             busy_rejects: AtomicU64::new(0),
@@ -204,14 +198,6 @@ impl ServerHealth {
     /// True once shutdown has been requested (by SIGTERM or in-process).
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || sigterm_received()
-    }
-
-    fn mark_drained(&self) {
-        self.drained.store(true, Ordering::SeqCst);
-    }
-
-    fn is_drained(&self) -> bool {
-        self.drained.load(Ordering::SeqCst)
     }
 
     /// Live connection count.
@@ -290,7 +276,7 @@ pub struct OnllServer {
     service: ShardedService<KvSpec>,
     config: ServerConfig,
     health: Arc<ServerHealth>,
-    checkpointers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    checkpointer: Mutex<Option<CheckpointDaemon>>,
     panic_key: Option<String>,
 }
 
@@ -300,12 +286,14 @@ impl OnllServer {
     ///
     /// Opening claims pid 0 of every shard for its combiner (the service is
     /// opened before anything else registers, so session slot `index` always
-    /// maps to pid `index + 1`) and spawns one background checkpoint thread
-    /// per shard on the slot above all sessions. The threads run for the life
-    /// of the server; a graceful shutdown joins them after a final sync and
-    /// checkpoint, while a kill-9 mid-checkpoint is just another crash the
-    /// recovery path already handles (torn checkpoints fall back to the
-    /// previous slot).
+    /// maps to pid `index + 1`) and starts the store's one checkpointer,
+    /// [`ShardedDurable::spawn_checkpointer`], on the slot above all
+    /// sessions. It checks the ops-count trigger every 25 ms, and a combiner
+    /// log three-quarters full wakes it at once. It runs for the life of the
+    /// server; a graceful shutdown stops it after a final sync and
+    /// checkpoint, while a kill-9 mid-checkpoint is just another
+    /// crash the recovery path already handles (torn checkpoints fall back to
+    /// the previous slot).
     pub fn open(config: ServerConfig) -> Result<(Self, u64), OnllError> {
         let shard_config = config.shard_config();
         let router = Arc::new(HashRouter::new(config.shards));
@@ -332,31 +320,7 @@ impl OnllServer {
         // everything recovery replayed without waiting for a write batch.
         service.enable_snapshots();
         let health = Arc::new(ServerHealth::new(store.num_shards(), &config.telemetry));
-        let mut checkpointers = Vec::with_capacity(store.num_shards());
-        for shard in 0..store.num_shards() {
-            let mut handle = store.shard(shard).handle_for(config.checkpointer_pid())?;
-            let health = health.clone();
-            checkpointers.push(std::thread::spawn(move || loop {
-                handle.sync();
-                if handle.should_checkpoint() {
-                    // A failing checkpoint (state outgrew the slot) stops
-                    // compaction but not service; surface it for operators.
-                    if let Err(e) = handle.checkpoint() {
-                        eprintln!("shard {shard} checkpoint failed: {e}");
-                    }
-                }
-                if health.is_drained() {
-                    // Graceful shutdown: every handler has exited, so this
-                    // sync sees the final state; publish it and stop.
-                    handle.sync();
-                    if let Err(e) = handle.checkpoint() {
-                        eprintln!("shard {shard} final checkpoint failed: {e}");
-                    }
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }));
-        }
+        let checkpointer = store.spawn_checkpointer(CHECKPOINT_POLL)?;
         let panic_key = std::env::var(TEST_PANIC_KEY_ENV).ok();
         Ok((
             OnllServer {
@@ -364,7 +328,7 @@ impl OnllServer {
                 service,
                 config,
                 health,
-                checkpointers: Mutex::new(checkpointers),
+                checkpointer: Mutex::new(Some(checkpointer)),
                 panic_key,
             },
             recovered,
@@ -408,14 +372,14 @@ impl OnllServer {
         while self.health.active_connections() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.health.mark_drained();
-        let checkpointers = {
-            let mut guard = self.checkpointers.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        for handle in checkpointers {
-            let _ = handle.join();
-        }
+        // Every handler has exited, so the checkpointer's final pass sees
+        // the final state and publishes it.
+        drop(
+            self.checkpointer
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .take(),
+        );
         Ok(())
     }
 

@@ -107,19 +107,12 @@ impl ShardConfig {
         self
     }
 
-    /// Convenience: enables the per-shard ops-count checkpoint trigger
-    /// (see `OnllConfig::checkpoint_every`). Evaluated by the background
-    /// checkpointer spawned with `ShardedDurable::spawn_checkpointer` (or by
-    /// handles using `update_with_checkpoint`).
+    /// Convenience: turns on per-shard checkpointing: the ops-count trigger
+    /// (see `OnllConfig::checkpoint_every`) and the capacity backstop it
+    /// arms. `ShardedDurable::spawn_checkpointer` checks the trigger on its
+    /// poll and is woken by the backstop.
     pub fn checkpoint_every(mut self, interval: u64) -> Self {
         self.base = self.base.checkpoint_every(interval);
-        self
-    }
-
-    /// Convenience: enables the per-shard log-bytes checkpoint trigger
-    /// (see `OnllConfig::checkpoint_when_log_exceeds`).
-    pub fn checkpoint_when_log_exceeds(mut self, bytes: u64) -> Self {
-        self.base = self.base.checkpoint_when_log_exceeds(bytes);
         self
     }
 

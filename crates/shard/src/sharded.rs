@@ -8,7 +8,7 @@ use crate::stats::{merged_global_stats, AggregateWindow};
 use nvm_sim::{NvmPool, ThreadStatsSnapshot};
 use onll::{Durable, Hooks, KeyedSpec, OnllConfig, OnllError, RecoveryReport, SnapshotSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 /// A keyed sequential specification partitioned across N independent
@@ -390,63 +390,93 @@ impl<S: KeyedSpec + SnapshotSpec> ShardedDurable<S> {
         Self::recover_with_checkpoints(pools, config, router)
     }
 
-    /// Spawns one background checkpoint thread per shard, so shards compact
-    /// independently without blocking updates.
+    /// Spawns the background checkpointer, one thread per shard, so shards
+    /// compact independently without blocking updates. It is the one
+    /// maintenance loop; `OnllServer` runs it too.
     ///
-    /// Each thread claims a process slot on its shard (size `max_processes`
-    /// accordingly: workers + 1), then periodically syncs its local view and
-    /// checkpoints whenever a configured trigger fires — the ops-count trigger
-    /// (`OnllConfig::checkpoint_every`) or the log-bytes trigger
-    /// (`OnllConfig::checkpoint_when_log_exceeds`), both settable through
-    /// [`crate::ShardConfig`]. Checkpoint fences are maintenance fences: they
-    /// are counted in the separate maintenance bucket and never charge the
-    /// paper's per-update budget. Worker handles truncate their own logs below
-    /// the published watermark on their next update (logs are single-writer).
+    /// Each thread claims its shard's highest process slot (size
+    /// `max_processes` accordingly: workers + 1), then syncs its local view,
+    /// checkpoints if a trigger fires (`ProcessHandle::should_checkpoint`)
+    /// and parks. The owner of a log that an append leaves a quarter free or
+    /// less wakes it at once (the capacity backstop), and an owner whose log
+    /// is full waits for its checkpoint; otherwise it wakes after `poll` to
+    /// check the ops-count trigger. That trigger stays on the poll:
+    /// waking at exactly every interval would checkpoint more often, and so
+    /// cost more checkpoint bytes per update. Checkpoint fences land in the
+    /// maintenance bucket, never in the paper's per-update budget. Worker
+    /// handles truncate their own logs below the published watermark on their
+    /// next update (logs are single-writer).
     ///
     /// The daemon stops (and joins its threads) on [`CheckpointDaemon::stop`]
-    /// or drop.
+    /// or drop, after a final pass that checkpoints if the view is past the
+    /// watermark.
     pub fn spawn_checkpointer(&self, poll: Duration) -> Result<CheckpointDaemon, OnllError> {
         if !self.inner.config.base.checkpointing_enabled() {
             return Err(OnllError::CheckpointingDisabled);
         }
-        // Register every shard's handle *before* spawning any thread: a
-        // register failure on a later shard (e.g. no free process slot) must
-        // not leave earlier shards' threads running detached with no daemon
-        // handle to stop them.
-        let handles = (0..self.num_shards())
-            .map(|i| self.shard(i).register())
+        // Claim every shard's slot *before* spawning any thread: a failure on
+        // a later shard must not leave earlier shards' threads running
+        // detached with no daemon handle to stop them. The highest slot leaves
+        // the lower ones to workers, which claim them by index or in order.
+        let handles = self
+            .inner
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .handle_for(shard.config().max_processes - 1)
+                    .map_err(|_| OnllError::NoFreeProcessSlot)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let stop = Arc::new(AtomicBool::new(false));
         let checkpoints: Arc<Vec<AtomicU64>> =
             Arc::new((0..self.num_shards()).map(|_| AtomicU64::new(0)).collect());
         let errors: Arc<Vec<Mutex<Option<OnllError>>>> =
             Arc::new((0..self.num_shards()).map(|_| Mutex::new(None)).collect());
+        // Each thread registers as its shard's maintainer before this
+        // returns, so no log can fill unseen while a thread is starting.
+        let registered = Arc::new(Barrier::new(handles.len() + 1));
         let mut joins = Vec::with_capacity(self.num_shards());
         for (i, mut handle) in handles.into_iter().enumerate() {
+            let shard = self.shard(i).clone();
             let stop = stop.clone();
             let checkpoints = checkpoints.clone();
             let errors = errors.clone();
-            joins.push(std::thread::spawn(move || loop {
-                let stopping = stop.load(Ordering::Acquire);
-                handle.sync();
-                if handle.should_checkpoint() {
-                    match handle.checkpoint() {
-                        Ok(_) => {
-                            checkpoints[i].fetch_add(1, Ordering::Relaxed);
+            let registered = registered.clone();
+            joins.push(std::thread::spawn(move || {
+                handle.park_until_due(Duration::ZERO);
+                registered.wait();
+                loop {
+                    let stopping = stop.load(Ordering::Acquire);
+                    let view = handle.sync();
+                    if handle.should_checkpoint()
+                        || (stopping && view > shard.checkpoint_watermark())
+                    {
+                        match handle.checkpoint() {
+                            Ok(_) => {
+                                checkpoints[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                            // A persistent failure (e.g. state outgrew the slot)
+                            // stops compaction but not service: report each new
+                            // one, and keep the latest for `last_errors`.
+                            Err(e) => {
+                                let mut last =
+                                    errors[i].lock().expect("no panic holds the error slot");
+                                if last.as_ref() != Some(&e) {
+                                    eprintln!("shard {i} checkpoint failed: {e}");
+                                }
+                                *last = Some(e);
+                            }
                         }
-                        // A persistent failure (e.g. serialized state outgrew
-                        // checkpoint_slot_bytes) would otherwise silently stop
-                        // all compaction for this shard; keep the latest error
-                        // inspectable through the daemon handle.
-                        Err(e) => *errors[i].lock().unwrap() = Some(e),
                     }
+                    if stopping {
+                        break;
+                    }
+                    handle.park_until_due(poll);
                 }
-                if stopping {
-                    break;
-                }
-                std::thread::park_timeout(poll);
             }));
         }
+        registered.wait();
         Ok(CheckpointDaemon {
             stop,
             checkpoints,
@@ -457,9 +487,11 @@ impl<S: KeyedSpec + SnapshotSpec> ShardedDurable<S> {
 }
 
 /// Handle on the per-shard background checkpoint threads spawned by
-/// [`ShardedDurable::spawn_checkpointer`]. Dropping it stops and joins the
-/// threads; [`CheckpointDaemon::stop`] does the same and additionally returns
-/// the number of checkpoints each shard's thread wrote.
+/// [`ShardedDurable::spawn_checkpointer`]. Each thread checkpoints when the
+/// ops-count trigger is due at a poll, or at once when its shard's capacity
+/// backstop wakes it. Dropping the handle stops and joins the threads;
+/// [`CheckpointDaemon::stop`] does the same and additionally returns the
+/// number of checkpoints each shard's thread wrote.
 pub struct CheckpointDaemon {
     stop: Arc<AtomicBool>,
     checkpoints: Arc<Vec<AtomicU64>>,
@@ -487,8 +519,9 @@ impl CheckpointDaemon {
             .collect()
     }
 
-    /// Stops the daemon: each thread performs one final sync-and-maybe-checkpoint
-    /// pass, then exits. Returns the per-shard checkpoint counts.
+    /// Stops the daemon: each thread syncs once more, checkpoints if its view
+    /// is past the watermark, then exits. Returns the per-shard checkpoint
+    /// counts.
     pub fn stop(mut self) -> Vec<u64> {
         self.shutdown();
         self.checkpoints_per_shard()

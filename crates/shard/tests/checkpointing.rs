@@ -20,7 +20,6 @@ fn checkpointing_config(name: &str, shards: usize) -> ShardConfig {
                 .log_capacity(4096),
         )
         .checkpoint_every(32)
-        .checkpoint_when_log_exceeds(1 << 20)
         .checkpoint_slot_bytes(64 * 1024)
         .pmem(PmemConfig::with_capacity(256 << 20).apply_pending_at_crash(0.0))
 }
@@ -209,4 +208,52 @@ fn recover_with_checkpoints_without_any_checkpoint_is_full_replay() {
     assert_eq!(report.checkpoint_epochs(), vec![0, 0]);
     assert_eq!(report.total_durable(), 20);
     assert_eq!(recovered.read_latest(&KvRead::Len), KvValue::Len(20));
+}
+
+#[test]
+fn daemon_alone_keeps_a_small_combiner_log_from_filling() {
+    // A 32-entry log and an ops-count trigger it can never reach: only the
+    // capacity backstop, raised by the combiner that owns the filling log,
+    // can wake the daemon. Nothing calls `maybe_checkpoint`. The simulator's
+    // fences are near free, so the combiner often fills the last quarter of
+    // its log before the daemon's checkpoint lands; it must then wait for
+    // that checkpoint, not refuse the put.
+    let shards = 2;
+    let config = ShardConfig::named("backstop")
+        .shards(shards)
+        .base(
+            OnllConfig::default()
+                // Combiner, one client, and the daemon's slot.
+                .max_processes(3)
+                .log_capacity(32),
+        )
+        .checkpoint_every(1 << 30)
+        .checkpoint_slot_bytes(64 * 1024)
+        .pmem(PmemConfig::with_capacity(64 << 20));
+    let router = Arc::new(HashRouter::new(shards));
+    let object = ShardedDurable::<KvSpec>::create(config, router).unwrap();
+    let service = object.service(1).unwrap();
+    let daemon = object.spawn_checkpointer(Duration::from_secs(60)).unwrap();
+    let mut client = service.client().unwrap();
+    let total = 300u64;
+    let mut log_full = 0;
+    for i in 0..total {
+        match client.submit(put(i % 40)) {
+            Ok(_) => {}
+            Err(OnllError::LogFull) => log_full += 1,
+            Err(e) => panic!("put {i}: {e:?}"),
+        }
+    }
+    assert_eq!(log_full, 0, "{log_full} of {total} puts found the log full");
+    assert!(
+        daemon.last_errors().iter().all(|e| e.is_none()),
+        "{:?}",
+        daemon.last_errors()
+    );
+    let checkpoints = daemon.stop();
+    assert!(
+        checkpoints.iter().all(|&c| c > 0),
+        "a shard never checkpointed: {checkpoints:?}"
+    );
+    assert_eq!(object.read_latest(&KvRead::Len), KvValue::Len(40));
 }
