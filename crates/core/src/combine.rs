@@ -51,8 +51,19 @@
 //! *did* execute but its response is no longer derivable, so re-submitting it
 //! would double-apply. Responses are *remembered* by construction — the
 //! durable log determines them — rather than stored twice.
+//!
+//! ## One way to read
+//!
+//! A service reads only through its published snapshot
+//! ([`DurableService::read_snapshot`], [`ServiceClient::read_snapshot`],
+//! [`SnapshotReader::read`]): no lock, no persistent fence, and never a wait
+//! for a writer. The service owns its object's updates — while it is open,
+//! [`Durable::register`] handles may read and checkpoint but their updates
+//! are refused with [`OnllError::ServiceOwnsUpdates`] — and every batch
+//! publishes its snapshot before it posts a reply, so these reads are
+//! linearizable; see the consistency contract in the `snapshot` module.
 
-use crate::construction::Durable;
+use crate::construction::{Durable, NO_SERVICE};
 use crate::error::OnllError;
 use crate::handle::ProcessHandle;
 use crate::op_id::{OpId, Record, ResolveOutcome};
@@ -62,7 +73,7 @@ use nvm_sim::{Counter, Histogram};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Slot states of the publication protocol. Transitions:
 /// `EMPTY → PENDING` (client, after writing the record),
@@ -83,11 +94,11 @@ const COMBINING: u32 = 3;
 /// oscillation classic flat combining exhibits without a window).
 const COMBINE_WINDOW_ROUNDS: usize = 4;
 
-/// Claimable hazard slots beyond the per-client reserved ones: the budget of
-/// concurrent [`SnapshotReader`] handles plus transient service-level
-/// snapshot reads. Exhaustion degrades gracefully (service-level reads fall
-/// back to the locked path; `snapshot_reader` reports
-/// [`OnllError::NoFreeProcessSlot`]).
+/// Claimable hazard slots beyond the per-client reserved ones, shared by
+/// [`SnapshotReader`] handles and transient service-level snapshot reads.
+/// Readers may hold all but the last one (`snapshot_reader` reports
+/// [`OnllError::NoFreeProcessSlot`] beyond that), so a transient read that
+/// finds every slot busy waits only for another transient read to finish.
 const SNAPSHOT_POOL_SLOTS: usize = 32;
 
 /// A combiner's answer to one submitted operation: the durable identity and
@@ -123,8 +134,8 @@ impl<S: SequentialSpec> Slot<S> {
     }
 }
 
-/// Monomorphized snapshot builder (a clone of the view) installed by
-/// `ensure_snapshots`; see the `snapshot_fn` field.
+/// Monomorphized snapshot builder (a clone of the view); see the
+/// `clone_view` field.
 type SnapshotFn<S> = fn(&mut ProcessHandle<S>) -> ReadSnapshot<S>;
 
 struct ServiceShared<S: SequentialSpec> {
@@ -157,19 +168,16 @@ struct ServiceShared<S: SequentialSpec> {
     /// Retrievals answered `Truncated` — identity compacted below a checkpoint
     /// floor ("combine.resolve_truncated").
     resolve_truncated: Counter,
-    /// The published-snapshot cell of the lock-free read path. Dormant (never
-    /// published, never cloned into) until `ensure_snapshots` runs.
+    /// The published-snapshot cell every read goes through, seeded when the
+    /// service opens.
     snapshots: SnapshotCell<S>,
-    /// Snapshot builder, installed by `ensure_snapshots`. A monomorphized fn
-    /// pointer so the `S: Clone` bound lives only on the snapshot-enabling
-    /// entry points instead of spreading through the whole service API; unset
-    /// means the read path is dormant and batches publish nothing. Publishes
-    /// use it only when the cell's spare cannot be recycled.
-    snapshot_fn: OnceLock<SnapshotFn<S>>,
-    /// Reads served lock-free from a published snapshot.
+    /// Snapshot builder: a clone of the combiner's view. A monomorphized fn
+    /// pointer so the `S: Clone` bound lives only on [`Durable::service`]
+    /// instead of spreading through the whole service API. Publishes use it
+    /// only when the cell's spare cannot be recycled.
+    clone_view: SnapshotFn<S>,
+    /// Reads served from a published snapshot.
     snapshot_reads: AtomicU64,
-    /// Reads served under the commit lock (`read_latest` and fallbacks).
-    latest_reads: AtomicU64,
     /// Time to build one snapshot (recycle the spare, or clone the view) and
     /// publish it ("combine.snapshot_publish_ns") — the write-path overhead
     /// the read path buys its lock freedom with.
@@ -312,16 +320,12 @@ impl<S: SequentialSpec> ServiceShared<S> {
     }
 
     /// Publishes a fresh snapshot from the combiner handle's view, if the
-    /// snapshot read path has been enabled and the view has moved past the
-    /// published snapshot. Recycles the cell's spare when the view's journal
-    /// covers its gap (O(operations since the spare's index)); clones the
-    /// view otherwise. Must be called with the commit lock held (the
-    /// `&mut ProcessHandle` only the lock hands out).
+    /// view has moved past the published snapshot. Recycles the cell's spare
+    /// when the view's journal covers its gap (O(operations since the
+    /// spare's index)); clones the view otherwise. Must be called with the
+    /// commit lock held (the `&mut ProcessHandle` only the lock hands out).
     fn publish_snapshot(&self, handle: &mut ProcessHandle<S>) {
-        let Some(clone_view) = self.snapshot_fn.get() else {
-            return;
-        };
-        if self.snapshots.current_index() == Some(handle.sync()) {
+        if self.snapshots.current_index() == handle.sync() {
             return;
         }
         let timer = self.publish_hist.start_timer();
@@ -333,42 +337,33 @@ impl<S: SequentialSpec> ServiceShared<S> {
             .and_then(|mut spare| handle.catch_up(&mut spare).then_some(spare));
         let snapshot = recycled.unwrap_or_else(|| {
             self.snapshot_clones.incr();
-            Box::new(clone_view(handle))
+            Box::new((self.clone_view)(handle))
         });
         self.snapshots.publish(snapshot);
         timer.stop();
     }
 
-    /// Idempotently enables the lock-free snapshot read path: installs the
-    /// snapshot builder and publishes a seed snapshot of the current
-    /// linearized state (so the path is immediately live, including right
-    /// after recovery). Takes the commit lock once; later batches refresh the
-    /// snapshot as part of their commit.
-    fn ensure_snapshots(&self)
-    where
-        S: Clone,
-    {
-        if self.snapshot_fn.get().is_some() && self.snapshots.is_published() {
-            return;
-        }
-        let mut handle = self.combiner.lock();
-        // Re-check under the lock: a racing enabler may have won.
-        if self.snapshot_fn.get().is_none() || !self.snapshots.is_published() {
-            // Journal from the seed on, so later publishes can recycle.
-            handle.start_journal();
-            let _ = self.snapshot_fn.set(make_snapshot::<S>);
-            self.publish_snapshot(&mut handle);
-        }
-    }
-
-    /// The locked (linearizable) read path, shared by every `read_latest`.
-    fn read_locked(&self, op: &S::ReadOp) -> S::Value {
-        self.latest_reads.fetch_add(1, Ordering::Relaxed);
-        self.combiner.lock().read(op)
+    /// Reads `op` from the current snapshot through hazard slot `slot`, which
+    /// the caller owns.
+    fn read_through(&self, slot: usize, op: &S::ReadOp) -> S::Value {
+        let value = self.snapshots.load_protected(slot).read(op);
+        self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+        value
     }
 }
 
-/// The monomorphized snapshot builder `ensure_snapshots` installs: clones the
+impl<S: SequentialSpec> Drop for ServiceShared<S> {
+    fn drop(&mut self) {
+        // Hand updates back to plain handles. The combiner's process slot is
+        // released after this, when its handle drops with the fields.
+        self.durable
+            .shared
+            .service_owner
+            .store(NO_SERVICE, Ordering::Release);
+    }
+}
+
+/// The monomorphized snapshot builder behind `clone_view`: clones the
 /// combiner view's state at the newest linearized operation — the seed
 /// publish and the fallback when no spare can be recycled.
 fn make_snapshot<S: SequentialSpec + Clone>(handle: &mut ProcessHandle<S>) -> ReadSnapshot<S> {
@@ -395,17 +390,43 @@ impl<S: SequentialSpec> Clone for DurableService<S> {
     }
 }
 
-impl<S: SequentialSpec> Durable<S> {
+impl<S: SequentialSpec + Clone> Durable<S> {
     /// Opens a combining-commit service over this object for up to `clients`
     /// concurrent client threads. Claims one process slot for the combiner
     /// handle; each [`DurableService::client`] claims one more for its
     /// identity, so the object needs `max_processes >= clients + 1` (plus any
     /// plain handles registered besides the service).
+    ///
+    /// The service owns the object's updates until it and every clone,
+    /// client and reader of it are dropped: updates through other handles
+    /// fail with [`OnllError::ServiceOwnsUpdates`], and so does opening a
+    /// second service. Opening publishes a snapshot of the current state (a
+    /// clone of the combiner's view), so recovered state is readable at
+    /// once. An update through another handle that is already past its
+    /// ownership check when the service opens becomes readable with the
+    /// service's first batch.
     pub fn service(&self, clients: usize) -> Result<DurableService<S>, OnllError> {
         assert!(clients >= 1, "a service needs at least one client slot");
-        let combiner = self.register()?;
+        let mut combiner = self.register()?;
+        self.shared
+            .service_owner
+            .compare_exchange(
+                NO_SERVICE,
+                combiner.pid(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map_err(|_| OnllError::ServiceOwnsUpdates)?;
         let max_batch = self.config().max_group_ops.min(clients);
         let telemetry = self.shared.pool.telemetry();
+        let publish_hist = telemetry.histogram("combine.snapshot_publish_ns");
+        let snapshot_clones = telemetry.counter("combine.snapshot_clones");
+        // Journal from the seed on, so later publishes can recycle.
+        combiner.start_journal();
+        let timer = publish_hist.start_timer();
+        let seed = Box::new(make_snapshot(&mut combiner));
+        snapshot_clones.incr();
+        timer.stop();
         Ok(DurableService {
             inner: Arc::new(ServiceShared {
                 durable: self.clone(),
@@ -421,12 +442,11 @@ impl<S: SequentialSpec> Durable<S> {
                 resolve_hits: telemetry.counter("combine.resolve_hits"),
                 resolve_misses: telemetry.counter("combine.resolve_misses"),
                 resolve_truncated: telemetry.counter("combine.resolve_truncated"),
-                snapshots: SnapshotCell::new(clients, SNAPSHOT_POOL_SLOTS),
-                snapshot_fn: OnceLock::new(),
+                snapshots: SnapshotCell::new(clients, SNAPSHOT_POOL_SLOTS, seed),
+                clone_view: make_snapshot::<S>,
                 snapshot_reads: AtomicU64::new(0),
-                latest_reads: AtomicU64::new(0),
-                publish_hist: telemetry.histogram("combine.snapshot_publish_ns"),
-                snapshot_clones: telemetry.counter("combine.snapshot_clones"),
+                publish_hist,
+                snapshot_clones,
                 rebuild_before: AtomicU64::new(0),
             }),
         })
@@ -525,79 +545,41 @@ impl<S: SequentialSpec> DurableService<S> {
         self.inner.combine_pass(&mut handle, None)
     }
 
-    /// The **linearizable** read path: acquires the commit lock and reads the
-    /// newest linearized state through the combiner handle's local view, which
-    /// advances incrementally (O(missing suffix), not O(history)). Zero
-    /// persistent fences (Theorem 5.1's read cost), but serializes behind
-    /// in-flight write batches and behind other locked readers; prefer
-    /// [`DurableService::read_snapshot`] for read paths that must not contend
-    /// with the commit lock.
-    pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
-        self.inner.read_locked(op)
-    }
-
-    /// The **lock-free** read path: one `Acquire` load of the published
-    /// snapshot and a pure `state.read(op)` — no lock, no persistent fence,
-    /// no NVM access, no trace traversal. Enables the snapshot path on first
-    /// use (one locked pass; see [`DurableService::enable_snapshots`]).
+    /// Reads `op` from the published snapshot: no lock, no persistent fence,
+    /// no NVM access, no trace traversal, and no wait for a writer.
     ///
-    /// Semantics: **sequentially consistent** reads over a linearized prefix.
-    /// The snapshot refreshes on every committed service batch (and on
-    /// [`DurableService::maybe_checkpoint`]), and it is published *before*
-    /// any of the batch's replies, so a caller that has observed an update's
-    /// acknowledgement observes that update here. Updates applied through
-    /// plain [`Durable::register`] handles that bypass the service do not
-    /// refresh the snapshot until the next service batch; use
-    /// [`DurableService::read_latest`] when those must be visible immediately.
+    /// Semantics: **linearizable**. Every batch publishes its snapshot after
+    /// it linearizes and before it posts any reply, and the service owns the
+    /// object's updates, so a read sees every update acknowledged (to any
+    /// client) before it began — see the consistency contract in the
+    /// `snapshot` module.
     ///
-    /// Falls back to the locked path in the rare case every one of the
-    /// `SNAPSHOT_POOL_SLOTS` transient hazard slots is busy (long-lived
-    /// readers should hold a [`SnapshotReader`] instead, which pins its slot
-    /// once).
-    pub fn read_snapshot(&self, op: &S::ReadOp) -> S::Value
-    where
-        S: Clone,
-    {
-        self.inner.ensure_snapshots();
-        let Some(slot) = self.inner.snapshots.claim_pool_slot() else {
-            return self.inner.read_locked(op);
-        };
-        let value = match self.inner.snapshots.load_protected(slot) {
-            Some(guard) => {
-                self.inner.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                guard.read(op)
+    /// Borrows one of the `SNAPSHOT_POOL_SLOTS` transient hazard slots for
+    /// the read. When every one is busy it yields and retries; readers can
+    /// never hold the last slot, so the wait is for another transient read.
+    /// Long-lived readers should hold a [`SnapshotReader`], which pins its
+    /// slot once.
+    pub fn read_snapshot(&self, op: &S::ReadOp) -> S::Value {
+        let slot = loop {
+            match self.inner.snapshots.claim_pool_slot(0) {
+                Some(slot) => break slot,
+                None => std::thread::yield_now(),
             }
-            // Unreachable after ensure_snapshots, but degrade rather than panic.
-            None => self.inner.read_locked(op),
         };
+        let value = self.inner.read_through(slot, op);
         self.inner.snapshots.release_pool_slot(slot);
         value
     }
 
-    /// Enables the lock-free snapshot read path without performing a read:
-    /// publishes a seed snapshot of the current linearized state (one locked
-    /// pass) and arms per-batch republication. Idempotent. Servers call this
-    /// at open so recovered state is immediately readable lock-free.
-    pub fn enable_snapshots(&self)
-    where
-        S: Clone,
-    {
-        self.inner.ensure_snapshots();
-    }
-
-    /// Claims a dedicated hazard slot and returns a long-lived lock-free
-    /// reader. Enables the snapshot path on first use. Fails with
-    /// [`OnllError::NoFreeProcessSlot`] when all `SNAPSHOT_POOL_SLOTS`
-    /// claimable slots are held by other readers.
-    pub fn snapshot_reader(&self) -> Result<SnapshotReader<S>, OnllError>
-    where
-        S: Clone,
-    {
-        self.inner.ensure_snapshots();
+    /// Claims a dedicated hazard slot and returns a long-lived snapshot
+    /// reader. Fails with [`OnllError::NoFreeProcessSlot`] when readers hold
+    /// all but one of the `SNAPSHOT_POOL_SLOTS` claimable slots (the last is
+    /// kept for transient reads).
+    pub fn snapshot_reader(&self) -> Result<SnapshotReader<S>, OnllError> {
         let slot = self
             .inner
             .snapshots
-            .claim_pool_slot()
+            .claim_pool_slot(1)
             .ok_or(OnllError::NoFreeProcessSlot)?;
         Ok(SnapshotReader {
             service: self.inner.clone(),
@@ -605,13 +587,9 @@ impl<S: SequentialSpec> DurableService<S> {
         })
     }
 
-    /// Counts of reads served by each path: lock-free snapshot reads vs
-    /// commit-lock (`read_latest` and fallback) reads.
-    pub fn read_stats(&self) -> ReadStats {
-        ReadStats {
-            snapshot_reads: self.inner.snapshot_reads.load(Ordering::Relaxed),
-            latest_reads: self.inner.latest_reads.load(Ordering::Relaxed),
-        }
+    /// Reads served so far, through every read path of this service.
+    pub fn snapshot_reads(&self) -> u64 {
+        self.inner.snapshot_reads.load(Ordering::Relaxed)
     }
 
     /// Exactly-once reply retrieval by identity — see [`Durable::resolve`].
@@ -647,19 +625,13 @@ impl<S: SequentialSpec> DurableService<S> {
 }
 
 impl<S: SnapshotSpec> DurableService<S> {
-    /// Syncs the combiner's view and checkpoints if a configured trigger fires
-    /// (see `ProcessHandle::maybe_checkpoint`). Blocks combining for the
-    /// duration; fences land in the maintenance bucket. Long-running services
-    /// should call this periodically (or from a background thread) so their
-    /// logs — and the recovered-identity backlog — stay bounded.
+    /// Checkpoints the combiner's view if a configured trigger fires (see
+    /// `ProcessHandle::maybe_checkpoint`). Blocks combining for the duration;
+    /// fences land in the maintenance bucket. Long-running services should
+    /// call this periodically (or from a background thread) so their logs —
+    /// and the recovered-identity backlog — stay bounded.
     pub fn maybe_checkpoint(&self) -> Result<Option<u64>, OnllError> {
         let mut handle = self.inner.combiner.lock();
-        handle.sync();
-        // The synced view may be ahead of the last batch commit (e.g. plain
-        // handles updated the object directly): refresh the snapshot too, so
-        // periodic checkpointing doubles as a staleness bound for the
-        // lock-free read path. A no-op when the view has not moved.
-        self.inner.publish_snapshot(&mut handle);
         let fired = handle.maybe_checkpoint()?;
         if fired.is_some() {
             self.inner
@@ -850,29 +822,13 @@ impl<S: SequentialSpec> ServiceClient<S> {
         }
     }
 
-    /// The linearizable read path — see [`DurableService::read_latest`].
-    pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
-        self.service.read_locked(op)
-    }
-
-    /// The lock-free snapshot read path — see
+    /// Reads `op` from the published snapshot — see
     /// [`DurableService::read_snapshot`] for the semantics. A client reads
     /// through its own reserved hazard slot, so this never contends with
     /// other readers either (`&mut self` keeps the slot single-threaded; a
     /// client is one thread's handle by construction).
-    pub fn read_snapshot(&mut self, op: &S::ReadOp) -> S::Value
-    where
-        S: Clone,
-    {
-        self.service.ensure_snapshots();
-        match self.service.snapshots.load_protected(self.slot) {
-            Some(guard) => {
-                self.service.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                guard.read(op)
-            }
-            // Unreachable after ensure_snapshots, but degrade rather than panic.
-            None => self.service.read_locked(op),
-        }
+    pub fn read_snapshot(&mut self, op: &S::ReadOp) -> S::Value {
+        self.service.read_through(self.slot, op)
     }
 }
 
@@ -919,26 +875,6 @@ impl<S: SequentialSpec> std::fmt::Debug for ServiceClient<S> {
     }
 }
 
-/// Per-path read counts of a [`DurableService`] — see
-/// [`DurableService::read_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Reads served lock-free from a published snapshot.
-    pub snapshot_reads: u64,
-    /// Reads served under the commit lock (`read_latest` plus fallbacks).
-    pub latest_reads: u64,
-}
-
-impl ReadStats {
-    /// Element-wise sum — aggregating per-shard stats.
-    pub fn merge(self, other: ReadStats) -> ReadStats {
-        ReadStats {
-            snapshot_reads: self.snapshot_reads + other.snapshot_reads,
-            latest_reads: self.latest_reads + other.latest_reads,
-        }
-    }
-}
-
 /// A long-lived lock-free reader over a [`DurableService`]'s published
 /// snapshots, created by [`DurableService::snapshot_reader`].
 ///
@@ -953,29 +889,16 @@ pub struct SnapshotReader<S: SequentialSpec> {
 }
 
 impl<S: SequentialSpec> SnapshotReader<S> {
-    /// Reads from the current published snapshot — sequentially consistent
-    /// over a linearized prefix; see [`DurableService::read_snapshot`] for
-    /// the exact staleness/recency contract.
+    /// Reads from the current published snapshot — linearizable; see
+    /// [`DurableService::read_snapshot`].
     pub fn read(&mut self, op: &S::ReadOp) -> S::Value {
-        match self.service.snapshots.load_protected(self.slot) {
-            Some(guard) => {
-                self.service.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                guard.read(op)
-            }
-            // The cell was published before this reader existed; degrade
-            // rather than panic if that invariant is ever violated.
-            None => self.service.read_locked(op),
-        }
+        self.service.read_through(self.slot, op)
     }
 
     /// Execution index of the newest operation the current snapshot covers —
     /// a monotone observation of the service's linearized-prefix progress.
     pub fn snapshot_index(&mut self) -> u64 {
-        self.service
-            .snapshots
-            .load_protected(self.slot)
-            .map(|guard| guard.index())
-            .unwrap_or(0)
+        self.service.snapshots.load_protected(self.slot).index()
     }
 }
 
@@ -1034,6 +957,15 @@ mod tests {
         }
     }
 
+    impl SnapshotSpec for Counter {
+        fn encode_state(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+        fn decode_state(bytes: &[u8]) -> Option<Self> {
+            Some(Counter(i64::from_le_bytes(bytes.try_into().ok()?)))
+        }
+    }
+
     fn counter_service(clients: usize, group: usize) -> (NvmPool, DurableService<Counter>) {
         counter_service_with(clients, group, Telemetry::disabled())
     }
@@ -1073,7 +1005,7 @@ mod tests {
         assert_eq!(client.last_op_id(), Some(op_id));
         assert_eq!(service.resolve(op_id), ResolveOutcome::Executed(5));
         assert!(service.was_linearized(op_id));
-        assert_eq!(service.read_latest(&()), 5);
+        assert_eq!(service.read_snapshot(&()), 5);
     }
 
     #[test]
@@ -1097,7 +1029,7 @@ mod tests {
             (va, vb) == (1, 3) || (va, vb) == (3, 2),
             "unexpected values ({va}, {vb})"
         );
-        assert_eq!(service.read_latest(&()), 3);
+        assert_eq!(service.read_snapshot(&()), 3);
         assert_eq!(service.batch_stats(), (1, 2));
         assert_eq!(service.resolve(id_a), ResolveOutcome::Executed(va));
         assert_eq!(service.resolve(id_b), ResolveOutcome::Executed(vb));
@@ -1120,7 +1052,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(service.read_latest(&()), (threads * per_thread) as i64);
+        assert_eq!(service.read_snapshot(&()), (threads * per_thread) as i64);
         let (batches, ops) = service.batch_stats();
         assert_eq!(ops, (threads * per_thread) as u64);
         // Every batch pays exactly one fence, and batches never exceed ops.
@@ -1165,7 +1097,7 @@ mod tests {
         let mut c = service.client().unwrap();
         let op_id = c.submit_async(Add(7));
         drop(c); // must not leak the pending op into the next owner
-        assert_eq!(service.read_latest(&()), 7);
+        assert_eq!(service.read_snapshot(&()), 7);
         assert_eq!(service.resolve(op_id), ResolveOutcome::Executed(7));
         let mut c = service.client().unwrap();
         assert_eq!(c.submit(Add(1)).unwrap().0, 8);
@@ -1226,7 +1158,7 @@ mod tests {
         client.submit(Add(1)).unwrap();
         assert!(matches!(client.submit(Add(1)), Err(OnllError::LogFull)));
         // The failed operation was never linearized.
-        assert_eq!(service.read_latest(&()), 2);
+        assert_eq!(service.read_snapshot(&()), 2);
     }
 
     #[test]
@@ -1244,23 +1176,25 @@ mod tests {
         assert_eq!(cost.flushes, 0, "snapshot reads flush nothing");
         client.submit(Add(2)).unwrap();
         assert_eq!(client.read_snapshot(&()), 7);
-        let stats = service.read_stats();
-        assert_eq!(stats.snapshot_reads, 3);
-        assert_eq!(stats.latest_reads, 0);
-        assert_eq!(service.read_latest(&()), 7);
-        assert_eq!(service.read_stats().latest_reads, 1);
+        assert_eq!(service.snapshot_reads(), 3);
     }
 
     #[test]
-    fn enable_snapshots_seeds_from_current_state_before_any_batch() {
-        let (_pool, service) = counter_service(1, 1);
-        let mut client = service.client().unwrap();
-        client.submit(Add(3)).unwrap();
-        // Enabled *after* writes: the seed snapshot is the synced view, so
-        // pre-enable state (think recovered state at server open) is visible
-        // without waiting for the next batch.
-        service.enable_snapshots();
+    fn a_new_service_seeds_its_snapshot_from_the_current_state() {
+        let pool = NvmPool::new(PmemConfig::with_capacity(64 << 20));
+        let obj = Durable::<Counter>::create(
+            pool,
+            OnllConfig::named("svc-seed")
+                .max_processes(3)
+                .log_capacity(1 << 10),
+        )
+        .unwrap();
+        // Written before the service opens (think recovered state at server
+        // open): the seed snapshot holds it before any batch.
+        obj.register().unwrap().update(Add(3));
+        let service = obj.service(1).unwrap();
         assert_eq!(service.read_snapshot(&()), 3);
+        assert_eq!(service.batch_stats(), (0, 0));
     }
 
     #[test]
@@ -1283,17 +1217,26 @@ mod tests {
     #[test]
     fn snapshot_reader_slots_are_bounded_and_released_on_drop() {
         let (_pool, service) = counter_service(1, 1);
-        let mut readers: Vec<_> = (0..SNAPSHOT_POOL_SLOTS)
+        let mut readers: Vec<_> = (1..SNAPSHOT_POOL_SLOTS)
             .map(|_| service.snapshot_reader().unwrap())
             .collect();
         assert!(matches!(
             service.snapshot_reader(),
             Err(OnllError::NoFreeProcessSlot)
         ));
-        // Pool exhaustion degrades service-level snapshot reads to the locked
-        // path instead of failing them.
+        // Readers leave the last slot to transient reads.
         assert_eq!(service.read_snapshot(&()), 0);
-        assert_eq!(service.read_stats().latest_reads, 1);
+        assert_eq!(service.snapshot_reads(), 1);
+        // With that slot busy too, a transient read waits for it.
+        let cell = &service.inner.snapshots;
+        let last = cell.claim_pool_slot(0).unwrap();
+        std::thread::scope(|scope| {
+            let reading = scope.spawn(|| service.read_snapshot(&()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!reading.is_finished(), "a read without a slot must wait");
+            cell.release_pool_slot(last);
+            assert_eq!(reading.join().unwrap(), 0);
+        });
         readers.pop();
         service.snapshot_reader().unwrap();
         for reader in &mut readers {
@@ -1305,7 +1248,6 @@ mod tests {
     fn concurrent_snapshot_reads_are_monotone_under_writes() {
         let readers = 4;
         let (_pool, service) = counter_service(2, 4);
-        service.enable_snapshots();
         std::thread::scope(|scope| {
             for _ in 0..readers {
                 let mut reader = service.snapshot_reader().unwrap();
@@ -1341,7 +1283,6 @@ mod tests {
         };
         let (_pool, service) = counter_service_with(1, 1, telemetry.clone());
         let mut client = service.client().unwrap();
-        service.enable_snapshots();
         assert_eq!(clones(), 1, "the seed publish clones");
         client.submit(Add(1)).unwrap();
         assert_eq!(clones(), 2, "no spare until the seed is retired");
@@ -1352,8 +1293,8 @@ mod tests {
         // Pin the current snapshot: the next publish retires it pinned, so
         // the one after that finds no spare and clones.
         let cell = &service.inner.snapshots;
-        let slot = cell.claim_pool_slot().unwrap();
-        let pinned = cell.load_protected(slot).unwrap();
+        let slot = cell.claim_pool_slot(0).unwrap();
+        let pinned = cell.load_protected(slot);
         let (idx, value) = (pinned.index(), pinned.read(&()));
         client.submit(Add(1)).unwrap();
         assert_eq!(clones(), 2, "the previous spare was free");
@@ -1375,16 +1316,15 @@ mod tests {
         // Every op adds 1 from a fresh object, so a snapshot's value equals
         // its index: a recycled buffer mutated under a reader would break it.
         let (_pool, service) = counter_service(2, 2);
-        service.enable_snapshots();
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 let service = &service;
                 scope.spawn(move || {
                     let cell = &service.inner.snapshots;
-                    let slot = cell.claim_pool_slot().unwrap();
+                    let slot = cell.claim_pool_slot(0).unwrap();
                     let mut last = 0;
                     for _ in 0..5_000 {
-                        let guard = cell.load_protected(slot).unwrap();
+                        let guard = cell.load_protected(slot);
                         let idx = guard.index();
                         assert!(idx >= last, "snapshot index regressed: {idx} < {last}");
                         assert_eq!(guard.read(&()), idx as i64, "state disagrees with index");
@@ -1404,22 +1344,42 @@ mod tests {
     }
 
     #[test]
-    fn service_updates_interleave_with_plain_handles() {
+    fn an_open_service_owns_its_objects_updates() {
         let pool = NvmPool::new(PmemConfig::with_capacity(64 << 20));
         let obj = Durable::<Counter>::create(
             pool,
-            OnllConfig::named("svc-mixed")
-                .max_processes(3)
-                .log_capacity(1 << 10),
+            OnllConfig::named("svc-owner")
+                .max_processes(4)
+                .log_capacity(1 << 10)
+                .checkpoint_every(1 << 20)
+                .checkpoint_slot_bytes(256),
         )
         .unwrap();
+        let mut handle = obj.register().unwrap();
+        handle.update(Add(10));
         let service = obj.service(1).unwrap();
         let mut client = service.client().unwrap();
-        let mut handle = obj.register().unwrap();
         client.submit(Add(1)).unwrap();
-        handle.update(Add(10));
-        client.submit(Add(100)).unwrap();
-        assert_eq!(obj.read_latest(&()), 111);
+        // Refused before ordering: no identity drawn, nothing applied.
+        let next = handle.peek_next_op_id();
+        assert_eq!(
+            handle.try_update(Add(100)),
+            Err(OnllError::ServiceOwnsUpdates)
+        );
+        assert_eq!(
+            handle.try_update_group([Add(100)]),
+            Err(OnllError::ServiceOwnsUpdates)
+        );
+        assert_eq!(handle.peek_next_op_id(), next);
+        assert!(matches!(obj.service(1), Err(OnllError::ServiceOwnsUpdates)));
+        // Reads and checkpoints through the plain handle still work.
+        assert_eq!(handle.read(&()), 11);
+        assert_eq!(handle.checkpoint(), Ok(2));
+        assert_eq!(service.read_snapshot(&()), 11);
+        // Closing the service hands updates back.
+        drop((client, service));
+        assert_eq!(handle.update(Add(100)), 111);
+        obj.service(1).unwrap();
         obj.check_invariants().unwrap();
     }
 }

@@ -213,9 +213,9 @@ fn scripted_service<S: Scripted>(telemetry: &Telemetry) -> DurableService<S> {
 /// The published snapshot against a fresh clone of the combiner's view.
 fn assert_published_matches_view<S: Scripted>(service: &DurableService<S>) {
     let cell = &service.inner.snapshots;
-    let slot = cell.claim_pool_slot().unwrap();
+    let slot = cell.claim_pool_slot(0).unwrap();
     {
-        let published = cell.load_protected(slot).unwrap();
+        let published = cell.load_protected(slot);
         let (view, idx) = service.inner.combiner.lock().snapshot_state();
         assert_eq!(published.index(), idx, "published index lags the view");
         assert_eq!(published.state, view, "published state at index {idx}");
@@ -232,15 +232,14 @@ struct Pinned<'a, S: Scripted> {
 }
 
 /// Runs a script of `(kind, seed)` steps: kinds 0–2 a combined batch of one
-/// to `CLIENTS` updates, 3 an update through a plain handle (which no publish
-/// follows), 4 `maybe_checkpoint`, 5 pins the current snapshot (or, with three
-/// pinned, unpins the oldest).
+/// to `CLIENTS` updates, 3 an update through a plain handle (which the
+/// service refuses), 4 `maybe_checkpoint`, 5 pins the current snapshot (or,
+/// with three pinned, unpins the oldest).
 fn run_script<S: Scripted>(steps: &[(u8, u64)]) {
     let telemetry = Telemetry::enabled();
     let service = scripted_service::<S>(&telemetry);
     let mut clients: Vec<_> = (0..CLIENTS).map(|_| service.client().unwrap()).collect();
     let mut plain = service.durable().register().unwrap();
-    service.enable_snapshots();
     let cell = &service.inner.snapshots;
     let mut pinned: VecDeque<Pinned<'_, S>> = VecDeque::new();
     for &(kind, seed) in steps {
@@ -257,15 +256,18 @@ fn run_script<S: Scripted>(steps: &[(u8, u64)]) {
                 assert_published_matches_view(&service);
             }
             3 => {
-                plain.update(S::op(seed));
+                assert!(matches!(
+                    plain.try_update(S::op(seed)),
+                    Err(OnllError::ServiceOwnsUpdates)
+                ));
             }
             4 => {
                 service.maybe_checkpoint().unwrap();
                 assert_published_matches_view(&service);
             }
             _ if pinned.len() < 3 => {
-                let slot = cell.claim_pool_slot().unwrap();
-                let guard = cell.load_protected(slot).unwrap();
+                let slot = cell.claim_pool_slot(0).unwrap();
+                let guard = cell.load_protected(slot);
                 let (idx, state) = (guard.index(), guard.state.clone());
                 pinned.push_back(Pinned {
                     slot,
@@ -324,7 +326,6 @@ fn unchanged_view_is_not_republished() {
     let telemetry = Telemetry::enabled();
     let service = scripted_service::<Fifo>(&telemetry);
     let mut client = service.client().unwrap();
-    service.enable_snapshots();
     client.submit(FifoOp::Enqueue(1)).unwrap();
     let (before, idx) = (
         publishes(&telemetry),
@@ -338,13 +339,16 @@ fn unchanged_view_is_not_republished() {
         before,
         "nothing moved, nothing published"
     );
-    // A plain-handle update moves the view: the next call publishes it.
-    service
-        .durable()
-        .register()
-        .unwrap()
-        .update(FifoOp::Enqueue(2));
+    // Plain handles cannot move the view behind the service's back; the
+    // next batch publishes.
+    let mut plain = service.durable().register().unwrap();
+    assert_eq!(
+        plain.try_update(FifoOp::Enqueue(2)),
+        Err(OnllError::ServiceOwnsUpdates)
+    );
     service.maybe_checkpoint().unwrap();
+    assert_eq!(publishes(&telemetry), before);
+    client.submit(FifoOp::Enqueue(2)).unwrap();
     assert_eq!(publishes(&telemetry), before + 1);
     assert_eq!(service.snapshot_reader().unwrap().snapshot_index(), idx + 1);
     assert_published_matches_view(&service);
@@ -355,7 +359,6 @@ fn steady_state_publishes_recycle_instead_of_cloning() {
     let telemetry = Telemetry::enabled();
     let service = scripted_service::<StrMap>(&telemetry);
     let mut client = service.client().unwrap();
-    service.enable_snapshots();
     // The seed, and the first batch's publish (the seed is still current
     // when it starts, so there is no spare yet), clone.
     client.submit(StrMap::op(1)).unwrap();
@@ -376,7 +379,6 @@ fn a_combiner_checkpoint_rebuilds_both_buffers_by_clones() {
     let telemetry = Telemetry::enabled();
     let service = scripted_service::<Fifo>(&telemetry);
     let mut client = service.client().unwrap();
-    service.enable_snapshots();
     for seed in 1..16 {
         client.submit(Fifo::op(seed)).unwrap();
     }

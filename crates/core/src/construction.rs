@@ -25,7 +25,7 @@ use nvm_sim::{FenceStats, NvmPool, PAddr, RootId};
 use parking_lot::{Mutex, RwLock};
 use persist_log::{reconstruct_history_from, LogConfig, PersistentLog};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::Thread;
 
@@ -133,7 +133,16 @@ pub(crate) struct Shared<S: SequentialSpec> {
     /// still serve the linearized prefix, and a restart recovers cleanly from
     /// the logs (the poisoned window was never durably appended).
     pub(crate) commit_poisoned: AtomicBool,
+    /// Pid of the combiner of the open [`crate::DurableService`], or
+    /// [`NO_SERVICE`]. While a service is open its combiner is the only
+    /// handle whose commits are accepted, so every update is one of its
+    /// batches and its published snapshot is never behind an acknowledged
+    /// update.
+    pub(crate) service_owner: AtomicUsize,
 }
+
+/// `Shared::service_owner` when no service is open.
+pub(crate) const NO_SERVICE: usize = usize::MAX;
 
 impl<S: SequentialSpec> Shared<S> {
     /// Minimum local-view progress over all currently claimed handles. Returns
@@ -322,6 +331,7 @@ impl<S: SequentialSpec> Durable<S> {
             snapshot: RwLock::new(None),
             recovered: Mutex::new(HashMap::new()),
             commit_poisoned: AtomicBool::new(false),
+            service_owner: AtomicUsize::new(NO_SERVICE),
             checkpoint_due: AtomicBool::new(false),
             maintainer: Mutex::new(None),
             checkpointed: Condvar::new(),
@@ -493,6 +503,7 @@ impl<S: SequentialSpec> Durable<S> {
             snapshot: RwLock::new(None),
             recovered: Mutex::new(recovered_set),
             commit_poisoned: AtomicBool::new(false),
+            service_owner: AtomicUsize::new(NO_SERVICE),
             checkpoint_due: AtomicBool::new(false),
             maintainer: Mutex::new(None),
             checkpointed: Condvar::new(),

@@ -42,6 +42,10 @@ pub enum OnllError {
         /// Sequence component of the rejected identity.
         seq: u64,
     },
+    /// A combining service is open on this object and owns its updates: an
+    /// update through any other handle, or a second service, is refused
+    /// before anything is ordered. Read-only handles are unaffected.
+    ServiceOwnsUpdates,
 }
 
 impl fmt::Display for OnllError {
@@ -73,6 +77,10 @@ impl fmt::Display for OnllError {
             OnllError::InvalidOpId { pid, seq } => write!(
                 f,
                 "operation identity p{pid}#{seq} is not usable by this client"
+            ),
+            OnllError::ServiceOwnsUpdates => write!(
+                f,
+                "a combining service owns this object's updates; submit through it"
             ),
         }
     }

@@ -2,7 +2,7 @@
 //! checkpointing / reclamation extension.
 
 use crate::checkpoint::Checkpointer;
-use crate::construction::Shared;
+use crate::construction::{Shared, NO_SERVICE};
 use crate::error::OnllError;
 use crate::hooks::Phase;
 use crate::local_view::LocalView;
@@ -195,9 +195,9 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     /// clients, from *their* claimed slots).
     ///
     /// Fails **before ordering anything** (group too large, commit path
-    /// poisoned, log full), so a refused batch leaves no trace of itself,
-    /// draws no sequence number and does not move `last_op_id`; the caller
-    /// can retry. Once the batch is ordered, `last_op_id` names its newest
+    /// poisoned, an open service owns the object's updates, log full), so a
+    /// refused batch leaves no trace of itself, draws no sequence number and
+    /// does not move `last_op_id`; the caller can retry. Once the batch is ordered, `last_op_id` names its newest
     /// operation from this handle's own slot, even if the persist then fails:
     /// the operation is in the trace, and detectable execution must be able
     /// to ask about it. A persist that still fails after
@@ -223,11 +223,15 @@ impl<S: SequentialSpec> ProcessHandle<S> {
         let hooks = shared.hooks.clone();
         hooks.fire(Phase::BeforeOrder, pid);
 
-        // Refuse before ordering anything we could not persist: a poisoned
-        // commit path (an earlier window failed its fence even after retries),
-        // then reclaim ring slots covered by a newly published checkpoint and
-        // check the log can take another entry.
+        // Refuse before ordering: a poisoned commit path (an earlier window
+        // failed its fence even after retries), or an open service whose
+        // combiner is another handle. Then reclaim ring slots covered by a
+        // newly published checkpoint and check the log can take another entry.
         self.check_commit_poisoned()?;
+        let owner = shared.service_owner.load(Ordering::Acquire);
+        if owner != NO_SERVICE && owner != self.pid {
+            return Err(OnllError::ServiceOwnsUpdates);
+        }
         self.compact_log_below_watermark();
         if self.log.free_slots() == 0 {
             self.await_checkpoint();
@@ -532,11 +536,17 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
     /// 5.1 is unaffected. Other processes' logs are compacted by their owners on
     /// their next update (single-writer logs), one more maintenance fence each.
     ///
+    /// Syncs the view first, so the checkpoint covers every linearized
+    /// update, not just the ones this handle has seen: a handle registered
+    /// after recovery would otherwise checkpoint its stale seed and truncate
+    /// nothing.
+    ///
     /// Returns the execution index (watermark) the checkpoint covers.
     pub fn checkpoint(&mut self) -> Result<u64, OnllError> {
         if !self.shared.config.checkpointing_enabled() {
             return Err(OnllError::CheckpointingDisabled);
         }
+        self.sync();
         // Cleared first: an append past the backstop raises it again, so a
         // failed checkpoint is retried on the next append, not in a loop.
         self.shared.checkpoint_due.store(false, Ordering::Release);
@@ -678,9 +688,11 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         }
     }
 
-    /// Checkpoints if a trigger fires (see [`ProcessHandle::should_checkpoint`]);
-    /// returns the covered watermark when a checkpoint was written.
+    /// Syncs the view, then checkpoints if a trigger fires (see
+    /// [`ProcessHandle::should_checkpoint`]); returns the covered watermark
+    /// when a checkpoint was written.
     pub fn maybe_checkpoint(&mut self) -> Result<Option<u64>, OnllError> {
+        self.sync();
         if self.should_checkpoint() {
             self.checkpoint().map(Some)
         } else {

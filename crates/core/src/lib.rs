@@ -82,7 +82,7 @@ pub mod phase_spans;
 mod snapshot;
 mod spec;
 
-pub use combine::{DurableService, ReadStats, ServiceClient, SnapshotReader};
+pub use combine::{DurableService, ServiceClient, SnapshotReader};
 pub use config::OnllConfig;
 pub use construction::{Durable, RecoveryReport};
 pub use error::OnllError;

@@ -3,11 +3,9 @@
 //!
 //! The paper's read cost (Listing 4, Theorem 5.1) is **zero persistent
 //! fences** — a read only traverses transient state. The combining front-end
-//! ([`crate::DurableService`]) originally kept the zero-*fence* half of that
-//! bargain but lost the concurrency half: every read took the commit lock and
-//! therefore serialized behind in-flight write batches *and* behind other
-//! readers. This module restores lock-free reads without giving up the
-//! linearized-prefix guarantee:
+//! ([`crate::DurableService`]) keeps both halves of that bargain — no fence,
+//! and no wait behind in-flight write batches or other readers — and its
+//! reads stay linearizable (see the consistency contract below):
 //!
 //! * After each batch linearizes (and before any waiter's reply is posted),
 //!   the combiner publishes an immutable [`ReadSnapshot`] — the object state
@@ -43,15 +41,27 @@
 //!
 //! ## Consistency contract
 //!
-//! A snapshot is a **linearized prefix** of the execution: reads through it
-//! are sequentially consistent (monotone per reader, never observing an
-//! unlinearized or rolled-back write) but may lag the latest linearized
-//! operation by in-flight batches. The recency half of the contract is
-//! publish-after-linearize ordering: the combiner publishes *before* posting
-//! replies, so a client that has observed its own update's acknowledgement is
-//! guaranteed to find that update in any snapshot it subsequently loads.
-//! Reads needing full linearizability take the commit lock via
-//! `read_latest` instead.
+//! Service submits and snapshot reads are **linearizable** per object.
+//! While a service is open its combiner is the only handle whose commits the
+//! object accepts (any other gets `OnllError::ServiceOwnsUpdates`), so every
+//! update linearizes inside a combining pass, and the pass publishes the
+//! snapshot covering it after the batch linearizes and before it posts any
+//! reply. Publication is monotone: the commit lock serializes publishers.
+//! Take an update's linearization point to be the publish of the first
+//! snapshot that contains it, which falls between its submit and its reply.
+//! The published snapshot is then the object's state at every instant, and a
+//! read linearizes at its load of the snapshot pointer: it sees every update
+//! acknowledged to any session before it began, and nothing that later turns
+//! out never to have happened.
+//!
+//! Two things stay outside that scope:
+//!
+//! * a broadcast read of a sharded service merges per-shard snapshots loaded
+//!   one after another, so it is linearizable per shard but not a cut across
+//!   shards;
+//! * `Durable::resolve`, `Durable::was_linearized` and `Durable::read_latest`
+//!   read the execution trace, which can be ahead of the published snapshot
+//!   by the one batch being published.
 
 use crate::spec::SequentialSpec;
 use parking_lot::Mutex;
@@ -59,8 +69,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 /// An immutable state snapshot covering a linearized prefix of the execution.
 ///
-/// Produced by the combiner after each committed batch (and once at
-/// enablement, seeding from the recovered state); consumed lock-free by
+/// Produced by the combiner after each committed batch (and once when the
+/// service opens, seeding from the recovered state); consumed lock-free by
 /// [`crate::SnapshotReader`]s and the `read_snapshot` methods.
 pub struct ReadSnapshot<S: SequentialSpec> {
     pub(crate) state: S,
@@ -120,8 +130,8 @@ pub(crate) struct SnapshotCell<S: SequentialSpec> {
     hazards: Box<[HazardSlot<S>]>,
     /// First pool (claimable) slot; lower slots are statically reserved.
     pool_start: usize,
-    /// Execution index of the `current` snapshot (meaningful once published).
-    /// Written and read by publishers only, which the commit lock serializes.
+    /// Execution index of the `current` snapshot. Written and read by
+    /// publishers only, which the commit lock serializes.
     current_idx: AtomicU64,
     retired: Mutex<Retired<S>>,
 }
@@ -146,14 +156,15 @@ unsafe impl<S: SequentialSpec> Send for SnapshotCell<S> {}
 unsafe impl<S: SequentialSpec> Sync for SnapshotCell<S> {}
 
 impl<S: SequentialSpec> SnapshotCell<S> {
-    /// A cell with `reserved` statically owned hazard slots (one per service
-    /// client) plus `pool` claimable slots for snapshot readers.
-    pub(crate) fn new(reserved: usize, pool: usize) -> Self {
+    /// A cell serving `seed`, with `reserved` statically owned hazard slots
+    /// (one per service client) plus `pool` claimable slots for snapshot
+    /// readers.
+    pub(crate) fn new(reserved: usize, pool: usize, seed: Box<ReadSnapshot<S>>) -> Self {
         SnapshotCell {
-            current: AtomicPtr::new(std::ptr::null_mut()),
+            current_idx: AtomicU64::new(seed.idx),
+            current: AtomicPtr::new(Box::into_raw(seed)),
             hazards: (0..reserved + pool).map(|_| HazardSlot::new()).collect(),
             pool_start: reserved,
-            current_idx: AtomicU64::new(0),
             retired: Mutex::new(Retired {
                 limbo: Vec::new(),
                 spare: None,
@@ -161,17 +172,11 @@ impl<S: SequentialSpec> SnapshotCell<S> {
         }
     }
 
-    /// True once a snapshot has been published (the read path is live).
-    pub(crate) fn is_published(&self) -> bool {
-        !self.current.load(Ordering::Acquire).is_null()
-    }
-
-    /// Execution index of the current snapshot, `None` before the first
-    /// publish. For publishers (serialized by the commit lock), which use it
-    /// to skip republishing an unchanged state.
-    pub(crate) fn current_index(&self) -> Option<u64> {
-        self.is_published()
-            .then(|| self.current_idx.load(Ordering::Relaxed))
+    /// Execution index of the current snapshot. For publishers (serialized
+    /// by the commit lock), which use it to skip republishing an unchanged
+    /// state.
+    pub(crate) fn current_index(&self) -> u64 {
+        self.current_idx.load(Ordering::Relaxed)
     }
 
     /// Takes the spare: a retired snapshot no reader can reach any more, now
@@ -194,9 +199,7 @@ impl<S: SequentialSpec> SnapshotCell<S> {
         let old = self.current.swap(fresh, Ordering::SeqCst);
         let mut retired = self.retired.lock();
         let Retired { limbo, spare } = &mut *retired;
-        if !old.is_null() {
-            limbo.push(old);
-        }
+        limbo.push(old);
         limbo.retain(|&p| {
             let protected = self
                 .hazards
@@ -228,10 +231,10 @@ impl<S: SequentialSpec> SnapshotCell<S> {
         });
     }
 
-    /// Claims a pool hazard slot for a long-lived reader. `None` when every
-    /// pool slot is taken.
-    pub(crate) fn claim_pool_slot(&self) -> Option<usize> {
-        (self.pool_start..self.hazards.len()).find(|&i| {
+    /// Claims a pool hazard slot, leaving the last `keep_free` pool slots
+    /// alone. `None` when every slot it may take is taken.
+    pub(crate) fn claim_pool_slot(&self, keep_free: usize) -> Option<usize> {
+        (self.pool_start..self.hazards.len() - keep_free).find(|&i| {
             self.hazards[i]
                 .claimed
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -249,29 +252,26 @@ impl<S: SequentialSpec> SnapshotCell<S> {
     }
 
     /// Pins the current snapshot through hazard slot `slot` and returns a
-    /// guard dereferencing it. `None` until the first publish.
+    /// guard dereferencing it.
     ///
     /// The caller must own `slot` exclusively for the guard's lifetime (slot
     /// ownership is what the `&mut self` receivers on the public read APIs
     /// enforce). Cost: one `Acquire` load, one hazard store, one validating
     /// load — no lock, no fence, no NVM access.
-    pub(crate) fn load_protected(&self, slot: usize) -> Option<SnapshotGuard<'_, S>> {
+    pub(crate) fn load_protected(&self, slot: usize) -> SnapshotGuard<'_, S> {
         let hazard = &self.hazards[slot].protected;
         loop {
             let p = self.current.load(Ordering::Acquire);
-            if p.is_null() {
-                return None;
-            }
             hazard.store(p, Ordering::SeqCst);
             // Validate: if `p` is still current, its swap-out (and the
             // publisher's hazard scan) is after this load in the SeqCst total
             // order, so the scan observes our hazard and keeps `p` alive.
             if self.current.load(Ordering::SeqCst) == p {
-                return Some(SnapshotGuard {
+                return SnapshotGuard {
                     cell: self,
                     slot,
                     ptr: p,
-                });
+                };
             }
             // A publish raced between load and protect; retry on the newer
             // snapshot (the stale hazard value is overwritten next round).
@@ -283,11 +283,8 @@ impl<S: SequentialSpec> Drop for SnapshotCell<S> {
     fn drop(&mut self) {
         // No readers can exist (&mut self), so every pointer is exclusively
         // ours: the current snapshot plus whatever limbo still holds.
-        let current = *self.current.get_mut();
-        if !current.is_null() {
-            // SAFETY: exclusive access per above; pointers are Box-allocated.
-            unsafe { drop(Box::from_raw(current)) };
-        }
+        // SAFETY: exclusive access per above; pointers are Box-allocated.
+        unsafe { drop(Box::from_raw(*self.current.get_mut())) };
         for p in self.retired.get_mut().limbo.drain(..) {
             // SAFETY: same argument.
             unsafe { drop(Box::from_raw(p)) };
@@ -363,23 +360,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_cell_returns_none_and_publish_makes_it_live() {
-        let cell = SnapshotCell::<Reg>::new(1, 1);
-        assert!(!cell.is_published());
-        assert!(cell.load_protected(0).is_none());
-        cell.publish(snap(Reg(7), 1));
-        assert!(cell.is_published());
-        let guard = cell.load_protected(0).unwrap();
-        assert_eq!(guard.read(&()), 7);
-        assert_eq!(guard.index(), 1);
+    fn a_new_cell_serves_its_seed_until_the_next_publish() {
+        let cell = SnapshotCell::<Reg>::new(1, 1, snap(Reg(7), 1));
+        assert_eq!(cell.current_index(), 1);
+        {
+            let guard = cell.load_protected(0);
+            assert_eq!((guard.index(), guard.read(&())), (1, 7));
+        }
+        cell.publish(snap(Reg(8), 2));
+        assert_eq!(cell.current_index(), 2);
+        assert_eq!(cell.load_protected(0).read(&()), 8);
     }
 
     #[test]
     fn publish_retires_old_snapshots_not_under_hazard() {
-        let cell = SnapshotCell::<Reg>::new(1, 0);
-        cell.publish(snap(Reg(1), 1));
+        let cell = SnapshotCell::<Reg>::new(1, 0, snap(Reg(1), 1));
         {
-            let guard = cell.load_protected(0).unwrap();
+            let guard = cell.load_protected(0);
             // Published while a reader pins the old snapshot: the old value
             // stays readable through the guard.
             cell.publish(snap(Reg(2), 2));
@@ -387,19 +384,18 @@ mod tests {
         }
         // Guard dropped: the next publish frees the pinned-then-released one.
         cell.publish(snap(Reg(3), 3));
-        assert_eq!(cell.load_protected(0).unwrap().read(&()), 3);
+        assert_eq!(cell.load_protected(0).read(&()), 3);
         assert!(cell.retired.lock().limbo.len() <= 1);
     }
 
     #[test]
     fn newest_unpinned_retiree_is_the_spare_and_pinned_ones_never_are() {
-        let cell = SnapshotCell::<Reg>::new(1, 0);
-        cell.publish(snap(Reg(1), 1));
+        let cell = SnapshotCell::<Reg>::new(1, 0, snap(Reg(1), 1));
         assert!(cell.take_spare().is_none(), "nothing retired yet");
         cell.publish(snap(Reg(2), 2));
         let mut spare = cell.take_spare().expect("unread snapshot 1 is the spare");
         assert_eq!(spare.index(), 1);
-        let pinned = cell.load_protected(0).unwrap();
+        let pinned = cell.load_protected(0);
         cell.publish(snap(Reg(3), 3));
         assert!(cell.take_spare().is_none(), "snapshot 2 is pinned");
         // Recycle snapshot 1 as snapshot 4; the reader of 2 is unaffected.
@@ -413,31 +409,35 @@ mod tests {
         cell.publish(snap(Reg(5), 5));
         assert_eq!(cell.take_spare().map(|s| s.index()), Some(4));
         assert!(cell.retired.lock().limbo.is_empty());
-        assert_eq!(cell.load_protected(0).unwrap().read(&()), 5);
+        assert_eq!(cell.load_protected(0).read(&()), 5);
     }
 
     #[test]
     fn pool_slots_are_bounded_and_reusable() {
-        let cell = SnapshotCell::<Reg>::new(2, 2);
-        let a = cell.claim_pool_slot().unwrap();
-        let b = cell.claim_pool_slot().unwrap();
+        let cell = SnapshotCell::<Reg>::new(2, 3, snap(Reg(0), 0));
+        let a = cell.claim_pool_slot(1).unwrap();
+        let b = cell.claim_pool_slot(1).unwrap();
         assert!(a >= 2 && b >= 2 && a != b);
-        assert!(cell.claim_pool_slot().is_none());
+        assert!(
+            cell.claim_pool_slot(1).is_none(),
+            "the last slot is kept free"
+        );
+        assert_eq!(cell.claim_pool_slot(0), Some(4));
+        assert!(cell.claim_pool_slot(0).is_none());
         cell.release_pool_slot(a);
-        assert_eq!(cell.claim_pool_slot(), Some(a));
+        assert_eq!(cell.claim_pool_slot(1), Some(a));
     }
 
     #[test]
     fn concurrent_readers_never_observe_freed_state() {
-        let cell = std::sync::Arc::new(SnapshotCell::<Reg>::new(4, 0));
-        cell.publish(snap(Reg(0), 0));
+        let cell = std::sync::Arc::new(SnapshotCell::<Reg>::new(4, 0, snap(Reg(0), 0)));
         std::thread::scope(|scope| {
             for slot in 0..4 {
                 let cell = cell.clone();
                 scope.spawn(move || {
                     let mut last = 0;
                     for _ in 0..10_000 {
-                        let guard = cell.load_protected(slot).unwrap();
+                        let guard = cell.load_protected(slot);
                         let v = guard.read(&());
                         // Snapshots are published in increasing order, so a
                         // reader's view is monotone.
@@ -454,6 +454,6 @@ mod tests {
                 }
             });
         });
-        assert_eq!(cell.load_protected(0).unwrap().read(&()), 5_000);
+        assert_eq!(cell.load_protected(0).read(&()), 5_000);
     }
 }

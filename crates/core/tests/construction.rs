@@ -713,12 +713,41 @@ fn capacity_backstop_checkpoints_before_the_ring_fills() {
     let (obj, _) = Durable::<CounterSpec>::recover_with_checkpoints(p, cfg).unwrap();
     let mut h = obj.register().unwrap();
     assert_eq!(h.try_update(CounterOp::Add(1)), Err(OnllError::LogFull));
-    h.sync();
     assert!(
         h.maybe_checkpoint().unwrap().is_some(),
         "the backstop never fired"
     );
     h.try_update(CounterOp::Add(1)).unwrap();
+}
+
+#[test]
+fn handle_checkpoints_cover_updates_their_view_has_not_seen() {
+    // A handle registered after recovery starts from the checkpoint seed, not
+    // the log tail above it. Both checkpoint calls must sync first: one at
+    // the stale seed would truncate nothing and leave the log full.
+    for explicit in [false, true] {
+        let p = pool();
+        let cfg = OnllConfig::named("sync-first")
+            .log_capacity(16)
+            .checkpoint_every(1 << 30)
+            .checkpoint_slot_bytes(256);
+        let obj = Durable::<CounterSpec>::create(p.clone(), cfg.clone()).unwrap();
+        let mut h = obj.register().unwrap();
+        while h.try_update(CounterOp::Add(1)).is_ok() {}
+        let filled = obj.read_latest(&());
+        drop((h, obj));
+        p.crash_and_restart();
+        let (obj, _) = Durable::<CounterSpec>::recover_with_checkpoints(p, cfg).unwrap();
+        let mut h = obj.register().unwrap();
+        assert_eq!(h.try_update(CounterOp::Add(1)), Err(OnllError::LogFull));
+        let watermark = if explicit {
+            h.checkpoint().unwrap()
+        } else {
+            h.maybe_checkpoint().unwrap().expect("the backstop fired")
+        };
+        assert_eq!(watermark, filled as u64, "checkpointed the stale seed");
+        assert_eq!(h.try_update(CounterOp::Add(1)), Ok(filled + 1));
+    }
 }
 
 #[test]

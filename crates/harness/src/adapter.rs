@@ -82,7 +82,7 @@ impl<S: SnapshotSpec> DurableObject<S> for CheckpointingOnllAdapter<S> {
 /// Wraps an [`onll::ServiceClient`] of a combining-commit
 /// [`onll::DurableService`] so the same workloads drive the concurrent
 /// front-end: updates block until the submitting thread is served by (or
-/// becomes) a combiner; reads go through the combiner's local view.
+/// becomes) a combiner; reads go through the published snapshot.
 pub struct ServiceClientAdapter<S: SequentialSpec> {
     client: ServiceClient<S>,
 }
@@ -105,7 +105,7 @@ impl<S: SequentialSpec> DurableObject<S> for ServiceClientAdapter<S> {
     }
 
     fn read(&mut self, op: &S::ReadOp) -> S::Value {
-        self.client.read_latest(op)
+        self.client.read_snapshot(op)
     }
 
     fn implementation_name(&self) -> &'static str {

@@ -74,7 +74,9 @@ where
 mod tests {
     use super::*;
     use crate::adapter::ServiceClientAdapter;
-    use durable_objects::CounterSpec;
+    use crate::history::History;
+    use crate::linearizability::check_linearizability;
+    use durable_objects::{CounterOp, CounterRead, CounterSpec};
     use nvm_sim::PmemConfig;
     use onll::{Durable, DurableService, OnllConfig};
 
@@ -89,6 +91,48 @@ mod tests {
         .unwrap()
         .service(threads)
         .unwrap()
+    }
+
+    #[test]
+    fn service_histories_with_snapshot_reads_are_linearizable() {
+        // Each client alternates a submit with a read, taking each of the
+        // three snapshot read paths in turn, while the others do the same.
+        // Every add has its own amount, so each reply pins the update's place
+        // in the order, and a read that missed an update acknowledged before
+        // it began has no legal place in any order.
+        let clients = 3;
+        for round in 0..20i64 {
+            let pool = NvmPool::new(PmemConfig::with_capacity(16 << 20));
+            let service = counter_service(&pool, clients);
+            let history = History::<CounterOp, CounterRead, i64>::new();
+            std::thread::scope(|scope| {
+                for c in 0..clients {
+                    let (service, history) = (&service, history.clone());
+                    let mut client = service.client().unwrap();
+                    let mut reader = service.snapshot_reader().unwrap();
+                    scope.spawn(move || {
+                        for k in 0..3 {
+                            let op = CounterOp::Add(round * 100 + c as i64 * 10 + k + 1);
+                            let pending = history.invoke_update(c as u32, None, op);
+                            let (value, op_id) = client.submit(op).unwrap();
+                            history.set_op_id(pending, op_id);
+                            history.respond(pending, value);
+                            let pending = history.invoke_read(c as u32, CounterRead::Get);
+                            let value = match k {
+                                0 => client.read_snapshot(&CounterRead::Get),
+                                1 => reader.read(&CounterRead::Get),
+                                _ => service.read_snapshot(&CounterRead::Get),
+                            };
+                            history.respond(pending, value);
+                        }
+                    });
+                }
+            });
+            let records = history.snapshot();
+            assert_eq!(records.len(), clients * 6);
+            check_linearizability::<CounterSpec>(&records)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub fn run_sharded_kv_workload(
                                 reads += 1;
                                 match mode {
                                     SubmitMode::Combined => {
-                                        client.as_mut().unwrap().read_latest(&r);
+                                        client.as_mut().unwrap().read_snapshot(&r);
                                     }
                                     _ => {
                                         handle.as_mut().unwrap().read(&r);

@@ -215,10 +215,8 @@ pub struct ServerStats {
     pub busy_rejects: u64,
     /// Shards currently degraded (writes unavailable, reads serving).
     pub degraded_shards: u32,
-    /// Reads served lock-free from published snapshots (`GET`).
+    /// Reads served from published snapshots (`GET`).
     pub snapshot_reads: u64,
-    /// Reads served under a commit lock (`GET_LATEST` plus fallbacks).
-    pub latest_reads: u64,
 }
 
 /// A connected session holding client slot `index` on every shard.
@@ -412,26 +410,12 @@ impl WireClient {
     }
 
     /// Looks up `key` (fence-free on the server). Served from the shard's
-    /// published snapshot: lock-free, sequentially consistent, and it
-    /// observes every write this session has seen acknowledged.
+    /// published snapshot: lock-free and linearizable, so it observes every
+    /// write acknowledged to any session before this call.
     pub fn get(&mut self, key: &str) -> Result<KvValue, ClientError> {
         wire::write_request(
             &mut self.writer,
             &Request::Get {
-                key: key.to_string(),
-            },
-        )?;
-        let (_, value) = self.read_value()?;
-        Ok(value)
-    }
-
-    /// Looks up `key` through the shard's commit lock — linearizable against
-    /// in-flight writes from *other* sessions, at the cost of contending with
-    /// them.
-    pub fn get_latest(&mut self, key: &str) -> Result<KvValue, ClientError> {
-        wire::write_request(
-            &mut self.writer,
-            &Request::GetLatest {
                 key: key.to_string(),
             },
         )?;
@@ -471,7 +455,6 @@ impl WireClient {
                 busy_rejects,
                 degraded_shards,
                 snapshot_reads,
-                latest_reads,
             } => Ok(ServerStats {
                 persistent_fences,
                 maintenance_fences,
@@ -481,7 +464,6 @@ impl WireClient {
                 busy_rejects,
                 degraded_shards,
                 snapshot_reads,
-                latest_reads,
             }),
             Reply::Error { retryable, message } => Err(ClientError::Server { retryable, message }),
             other => Err(WireError::Malformed(format!("unexpected reply {other:?}")).into()),
@@ -679,12 +661,6 @@ impl ResilientSession {
     pub fn get(&mut self, key: &str) -> Result<KvValue, ClientError> {
         let key_owned = key.to_string();
         self.run(move |client, _| client.get(&key_owned))
-    }
-
-    /// Looks up `key` through the commit lock — see [`WireClient::get_latest`].
-    pub fn get_latest(&mut self, key: &str) -> Result<KvValue, ClientError> {
-        let key_owned = key.to_string();
-        self.run(move |client, _| client.get_latest(&key_owned))
     }
 
     /// Exactly-once recovery for an externally tracked identity.

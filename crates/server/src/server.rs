@@ -171,7 +171,7 @@ pub struct ServerHealth {
     degraded: Box<[AtomicBool]>,
     timeout_counter: Counter,
     busy_counter: Counter,
-    /// GET/GET_LATEST service time ("server.read_ns"), both read paths.
+    /// GET service time ("server.read_ns").
     read_hist: Histogram,
 }
 
@@ -314,11 +314,10 @@ impl OnllServer {
                 .map_err(|e| OnllError::Nvm(format!("create {}: {e}", config.dir.display())))?;
             (ShardedDurable::create(shard_config, router)?, 0)
         };
+        // Opening the service seeds each shard's snapshot from its recovered
+        // state: a client's first read after a restart sees everything
+        // recovery replayed without waiting for a write batch.
         let service = store.service(config.max_clients)?;
-        // Arm the lock-free GET path now, seeding each shard's snapshot from
-        // its recovered state: a client's first read after a restart sees
-        // everything recovery replayed without waiting for a write batch.
-        service.enable_snapshots();
         let health = Arc::new(ServerHealth::new(store.num_shards(), &config.telemetry));
         let checkpointer = store.spawn_checkpointer(CHECKPOINT_POLL)?;
         let panic_key = std::env::var(TEST_PANIC_KEY_ENV).ok();
@@ -580,7 +579,6 @@ fn stats_reply(
 ) -> Reply {
     let stats = store.merged_stats();
     let (batches, combined_ops) = service.batch_stats();
-    let reads = service.read_stats();
     Reply::StatsOk {
         persistent_fences: stats.persistent_fences,
         maintenance_fences: stats.maintenance_fences,
@@ -589,8 +587,7 @@ fn stats_reply(
         timeouts: health.timeouts(),
         busy_rejects: health.busy_rejects(),
         degraded_shards: health.degraded_shards(),
-        snapshot_reads: reads.snapshot_reads,
-        latest_reads: reads.latest_reads,
+        snapshot_reads: service.snapshot_reads(),
     }
 }
 
@@ -770,22 +767,12 @@ fn handle_connection(
             Request::Get { key } => {
                 // Reads serve from memory even on a degraded shard: a
                 // poisoned backend loses durability, not state. The snapshot
-                // path is the default: lock-free, and it still observes every
-                // write this session saw acknowledged (publish-before-ack).
+                // is published before any write's ack, so this lock-free read
+                // observes every write acknowledged to any session.
                 poison_pill(&key);
                 let shard = client.shard_of(&key) as u32;
                 let timer = health.read_hist.start_timer();
                 let value = client.read_snapshot(&KvRead::Get(key));
-                timer.stop();
-                Reply::Value { shard, value }
-            }
-            Request::GetLatest { key } => {
-                // The strong path: linearizable against in-flight writes, at
-                // the cost of taking the shard's commit lock.
-                poison_pill(&key);
-                let shard = client.shard_of(&key) as u32;
-                let timer = health.read_hist.start_timer();
-                let value = client.read_latest(&KvRead::Get(key));
                 timer.stop();
                 Reply::Value { shard, value }
             }

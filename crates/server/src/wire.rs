@@ -5,7 +5,7 @@
 //! ```text
 //! u32 LE  body length (bytes that follow; at most MAX_FRAME)
 //! u16 LE  magic  = 0x4C4F ("OL")
-//! u8      version = 1
+//! u8      version = 2
 //! u8      kind    (request or reply discriminant)
 //! ...     kind-specific payload
 //! ```
@@ -28,8 +28,9 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: "OL" little-endian.
 pub const MAGIC: u16 = 0x4C4F;
-/// Protocol version this build speaks.
-pub const VERSION: u8 = 1;
+/// Protocol version this build speaks. Version 2 dropped the commit-lock
+/// read (`GET_LATEST`, kind `0x08`) and its `STATS_OK` counter.
+pub const VERSION: u8 = 2;
 /// Upper bound on a frame body; anything larger is a protocol error.
 pub const MAX_FRAME: u32 = 16 * 1024;
 
@@ -44,7 +45,6 @@ const KIND_GET: u8 = 0x04;
 const KIND_RESOLVE: u8 = 0x05;
 const KIND_STATS: u8 = 0x06;
 const KIND_PING: u8 = 0x07;
-const KIND_GET_LATEST: u8 = 0x08;
 
 const KIND_HELLO_OK: u8 = 0x81;
 const KIND_VALUE: u8 = 0x82;
@@ -81,17 +81,9 @@ pub enum Request {
         key: String,
     },
     /// Read a key (no identity: reads are fence-free and idempotent). Served
-    /// from the shard's published snapshot — lock-free, sequentially
-    /// consistent over a linearized prefix that includes every write this
-    /// session has seen acknowledged.
+    /// from the shard's published snapshot — lock-free and linearizable: it
+    /// sees every write acknowledged to any session before it was sent.
     Get {
-        /// Key to look up.
-        key: String,
-    },
-    /// Read a key through the shard's commit lock — linearizable against
-    /// in-flight writes, at the cost of contending with them. Use when a
-    /// write acknowledged out-of-band (another session) must be visible.
-    GetLatest {
         /// Key to look up.
         key: String,
     },
@@ -160,11 +152,8 @@ pub enum Reply {
         /// Shards currently degraded (backend poisoned; writes fail, reads
         /// keep serving). Zero on a healthy server.
         degraded_shards: u32,
-        /// Reads served lock-free from published snapshots ([`Request::Get`]).
+        /// Reads served from published snapshots ([`Request::Get`]).
         snapshot_reads: u64,
-        /// Reads served under a commit lock ([`Request::GetLatest`] plus
-        /// snapshot-path fallbacks).
-        latest_reads: u64,
     },
     /// The request failed. Retryable errors may be retried on a fresh
     /// connection (after resolving in-flight identities); permanent errors
@@ -334,10 +323,6 @@ impl Request {
                 buf.push(KIND_GET);
                 put_str(buf, key);
             }
-            Request::GetLatest { key } => {
-                buf.push(KIND_GET_LATEST);
-                put_str(buf, key);
-            }
             Request::Resolve { shard, op_id } => {
                 buf.push(KIND_RESOLVE);
                 buf.extend_from_slice(&shard.to_le_bytes());
@@ -363,9 +348,6 @@ impl Request {
                 key: take_str(bytes)?,
             }),
             KIND_GET => Ok(Request::Get {
-                key: take_str(bytes)?,
-            }),
-            KIND_GET_LATEST => Ok(Request::GetLatest {
                 key: take_str(bytes)?,
             }),
             KIND_RESOLVE => Ok(Request::Resolve {
@@ -414,7 +396,6 @@ impl Reply {
                 busy_rejects,
                 degraded_shards,
                 snapshot_reads,
-                latest_reads,
             } => {
                 buf.push(KIND_STATS_OK);
                 for v in [
@@ -429,7 +410,6 @@ impl Reply {
                 }
                 buf.extend_from_slice(&degraded_shards.to_le_bytes());
                 buf.extend_from_slice(&snapshot_reads.to_le_bytes());
-                buf.extend_from_slice(&latest_reads.to_le_bytes());
             }
             Reply::Error { retryable, message } => {
                 buf.push(KIND_ERROR);
@@ -477,7 +457,6 @@ impl Reply {
                 busy_rejects: take_u64(bytes)?,
                 degraded_shards: take_u32(bytes)?,
                 snapshot_reads: take_u64(bytes)?,
-                latest_reads: take_u64(bytes)?,
             }),
             KIND_ERROR => Ok(Reply::Error {
                 retryable: take_u8(bytes)? != 0,
@@ -614,7 +593,6 @@ mod tests {
             key: String::new(),
         });
         roundtrip_request(Request::Get { key: "k".into() });
-        roundtrip_request(Request::GetLatest { key: "k".into() });
         roundtrip_request(Request::Resolve {
             shard: 2,
             op_id: OpId::new(4, 17),
@@ -650,7 +628,6 @@ mod tests {
             busy_rejects: 4,
             degraded_shards: 2,
             snapshot_reads: 1_000_000,
-            latest_reads: 17,
         });
         roundtrip_reply(Reply::Error {
             retryable: false,
@@ -686,6 +663,33 @@ mod tests {
             read_request(&mut oversize.as_slice()),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn rejects_unknown_kinds() {
+        // 0x08 was GET_LATEST before version 2.
+        for kind in [0x00, 0x08, 0x09, 0x80, 0x89, 0xFF] {
+            let mut buf = Vec::new();
+            write_request(&mut buf, &Request::Ping).unwrap();
+            buf[7] = kind;
+            assert!(
+                matches!(
+                    read_request(&mut buf.as_slice()),
+                    Err(WireError::Malformed(_))
+                ),
+                "request kind {kind:#04x}"
+            );
+            let mut buf = Vec::new();
+            write_reply(&mut buf, &Reply::Pong).unwrap();
+            buf[7] = kind;
+            assert!(
+                matches!(
+                    read_reply(&mut buf.as_slice()),
+                    Err(WireError::Malformed(_))
+                ),
+                "reply kind {kind:#04x}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::io::Cursor;
 /// Builds a syntactically valid request from primitive generator output.
 fn request_from(select: u8, a: u32, b: u64, key: &str, value: &str) -> Request {
     let op_id = OpId::new(a % 64 + 1, b % (1 << 48) + 1);
-    match select % 8 {
+    match select % 7 {
         0 => Request::Hello { index: a },
         1 => Request::Put {
             op_id,
@@ -31,9 +31,6 @@ fn request_from(select: u8, a: u32, b: u64, key: &str, value: &str) -> Request {
             op_id,
         },
         5 => Request::Stats,
-        6 => Request::GetLatest {
-            key: key.to_string(),
-        },
         _ => Request::Ping,
     }
 }
@@ -69,7 +66,6 @@ fn reply_from(select: u8, a: u32, b: u64, text: &str) -> Reply {
             busy_rejects: b / 13,
             degraded_shards: a % 4,
             snapshot_reads: b / 17,
-            latest_reads: b / 19,
         },
         4 => Reply::Error {
             retryable: b.is_multiple_of(2),

@@ -15,10 +15,15 @@
 //! returned by a submit is meaningful to the shard that served it (which
 //! [`ShardedServiceClient::submit_routed`] reports, and
 //! [`ShardedService::resolve_on`] takes explicitly).
+//!
+//! Reads go through each shard's published snapshot only. Keyed reads are
+//! linearizable (each shard is one object whose service owns its updates);
+//! broadcast reads merge per-shard snapshots loaded one after another, so
+//! they are not a cut across shards.
 
 use crate::router::ShardRouter;
 use crate::sharded::ShardedDurable;
-use onll::{DurableService, KeyedSpec, OnllError, OpId, ReadStats, ResolveOutcome, ServiceClient};
+use onll::{DurableService, KeyedSpec, OnllError, OpId, ResolveOutcome, ServiceClient};
 use std::sync::Arc;
 
 /// A combining-commit session layer over every shard of a
@@ -39,12 +44,13 @@ impl<S: KeyedSpec> Clone for ShardedService<S> {
     }
 }
 
-impl<S: KeyedSpec> ShardedDurable<S> {
+impl<S: KeyedSpec + Clone> ShardedDurable<S> {
     /// Opens a combining-commit service over every shard, each sized for up to
     /// `clients` concurrent client threads. Claims one process slot per shard
     /// for that shard's combiner; each [`ShardedService::client`] claims one
     /// more on every shard — size `max_processes >= clients + 1` (plus any
-    /// plain handles registered besides the service).
+    /// plain handles registered besides the service). While the service is
+    /// open it owns every shard's updates (see [`onll::Durable::service`]).
     pub fn service(&self, clients: usize) -> Result<ShardedService<S>, OnllError> {
         let services = (0..self.num_shards())
             .map(|i| self.shard(i).service(clients))
@@ -121,42 +127,17 @@ impl<S: KeyedSpec> ShardedService<S> {
         self.services[shard].resolve(op_id)
     }
 
-    /// The lock-taking read path through the shards' combiner views (zero
-    /// persistent fences). **Keyed** reads are linearizable within
-    /// their shard (the shard is one ONLL object; its commit lock serializes
-    /// the read against in-flight batches). **Broadcast** reads
-    /// (`read_key(op) == None`) are *not* a consistent cut: each shard's lock
-    /// is taken and released **sequentially**, so shard `i`'s answer can
-    /// predate updates that shard `j > i`'s answer already includes — there
-    /// is no single linearization point across independent objects, and
-    /// holding all locks at once would only add deadlock risk and writer
-    /// stalls without creating one (updates spanning shards don't exist;
+    /// Reads through the shards' published snapshots: no lock, no
+    /// persistent fence, no wait for a writer. A **keyed** read goes to the
+    /// owning shard's snapshot ([`DurableService::read_snapshot`]) and is
+    /// linearizable. A **broadcast** read (`read_key(op) == None`) merges
+    /// every shard's snapshot, loaded one after another, so it is *not* a
+    /// consistent cut: shard `i`'s answer can predate updates that shard
+    /// `j > i`'s answer already includes. There is no single linearization
+    /// point across independent objects (updates spanning shards don't exist;
     /// cross-shard order is undefined). What *is* guaranteed: each per-shard
-    /// answer is a linearized prefix of that shard including every operation
-    /// acknowledged before the broadcast began.
-    pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
-        match S::read_key(op) {
-            Some(key) => self.services[self.router.route(&key)].read_latest(op),
-            None => {
-                let answers = self.services.iter().map(|s| s.read_latest(op)).collect();
-                S::merge_reads(op, answers)
-            }
-        }
-    }
-
-    /// The lock-free read path — keyed reads go to the owning shard's
-    /// published snapshot ([`DurableService::read_snapshot`]); broadcast
-    /// reads merge every shard's **snapshot** instead of chasing the commit
-    /// locks. The cross-shard cut is exactly as (in)consistent as
-    /// [`ShardedService::read_latest`]'s — per-shard linearized prefixes with
-    /// no cross-shard order — but each prefix still includes every operation
-    /// whose ack was observed before the read began (publish-before-ack per
-    /// shard), and the broadcast no longer blocks any shard's writers, nor is
-    /// it blocked by them.
-    pub fn read_snapshot(&self, op: &S::ReadOp) -> S::Value
-    where
-        S: Clone,
-    {
+    /// answer includes every operation acknowledged before the read began.
+    pub fn read_snapshot(&self, op: &S::ReadOp) -> S::Value {
         match S::read_key(op) {
             Some(key) => self.services[self.router.route(&key)].read_snapshot(op),
             None => {
@@ -166,25 +147,10 @@ impl<S: KeyedSpec> ShardedService<S> {
         }
     }
 
-    /// Enables the lock-free snapshot read path on every shard — see
-    /// [`DurableService::enable_snapshots`]. Idempotent; servers call this at
-    /// open so recovered state is immediately readable lock-free.
-    pub fn enable_snapshots(&self)
-    where
-        S: Clone,
-    {
-        for service in self.services.iter() {
-            service.enable_snapshots();
-        }
-    }
-
-    /// Summed per-path read counts over all shards — see
-    /// [`DurableService::read_stats`].
-    pub fn read_stats(&self) -> ReadStats {
-        self.services
-            .iter()
-            .map(|s| s.read_stats())
-            .fold(ReadStats::default(), ReadStats::merge)
+    /// Reads served so far, summed over all shards — see
+    /// [`DurableService::snapshot_reads`].
+    pub fn snapshot_reads(&self) -> u64 {
+        self.services.iter().map(|s| s.snapshot_reads()).sum()
     }
 
     /// Summed `(batches, operations)` over all shards — the aggregate
@@ -256,27 +222,9 @@ impl<S: KeyedSpec> ShardedServiceClient<S> {
         self.router.route(key)
     }
 
-    /// The lock-taking read path — per-shard linearizable, broadcast reads
-    /// are sequential per-shard cuts; see [`ShardedService::read_latest`].
-    pub fn read_latest(&self, op: &S::ReadOp) -> S::Value {
-        match S::read_key(op) {
-            Some(key) => self.clients[self.router.route(&key)].read_latest(op),
-            None => {
-                let answers = self.clients.iter().map(|c| c.read_latest(op)).collect();
-                S::merge_reads(op, answers)
-            }
-        }
-    }
-
-    /// The lock-free read path through this client's reserved per-shard
-    /// hazard slots — semantics per [`ShardedService::read_snapshot`], plus
-    /// the per-session recency guarantee: an update this client saw
-    /// acknowledged is visible in its subsequent snapshot reads (on the
-    /// shard that served it).
-    pub fn read_snapshot(&mut self, op: &S::ReadOp) -> S::Value
-    where
-        S: Clone,
-    {
+    /// Reads through this client's reserved per-shard hazard slots —
+    /// semantics per [`ShardedService::read_snapshot`].
+    pub fn read_snapshot(&mut self, op: &S::ReadOp) -> S::Value {
         match S::read_key(op) {
             Some(key) => self.clients[self.router.route(&key)].read_snapshot(op),
             None => {

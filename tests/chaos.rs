@@ -344,6 +344,25 @@ fn chaos_smoke() {
         acked.len()
     );
     audit(&server.addr, &acked, seed);
+    cross_session_reads(&server.addr, seed);
+}
+
+/// Real-time order across connections, on the incarnation that survived the
+/// round: a PUT acknowledged to one session is visible to the very next GET
+/// of another, because a snapshot GET is linearizable.
+fn cross_session_reads(addr: &str, seed: u64) {
+    let mut writer = WireClient::connect_with_retry(addr, 0, 50).expect("connect writer");
+    let mut reader = WireClient::connect_with_retry(addr, 1, 50).expect("connect reader");
+    for k in 0..40 {
+        let key = format!("s{seed}-x{k}");
+        let value = format!("v{k}");
+        writer.put(&key, &value).expect("acked put");
+        assert_eq!(
+            value_of(&reader.get(&key).expect("cross-session get")),
+            Some(value.as_str()),
+            "seed {seed}: a GET on another session missed acked key {key}"
+        );
+    }
 }
 
 /// The nightly matrix: several seeds, injected backend faults (transient
@@ -589,14 +608,6 @@ fn permanent_fault_degrades_writes_but_serves_reads_until_restart() {
             a.key
         );
     }
-    // The locked path (GET_LATEST) also still works: the commit lock itself
-    // is healthy — only persistence is refusing — and it must agree with the
-    // snapshot on a quiesced shard.
-    let last = acked.last().unwrap();
-    assert_eq!(
-        value_of(&client.get_latest(&last.key).expect("degraded latest read")),
-        Some(last.value.as_str())
-    );
     match client.put("rejected", "x") {
         Err(ClientError::Unavailable { .. }) => {}
         other => panic!("degraded shard must refuse writes, got {other:?}"),
@@ -606,10 +617,6 @@ fn permanent_fault_degrades_writes_but_serves_reads_until_restart() {
     assert!(
         stats.snapshot_reads >= acked.len() as u64,
         "every degraded GET must be counted as a snapshot read: {stats:?}"
-    );
-    assert!(
-        stats.latest_reads >= 1,
-        "the GET_LATEST must be counted as a locked read: {stats:?}"
     );
     client.abandon();
 

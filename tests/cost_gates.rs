@@ -5,7 +5,7 @@
 //! * allocations per single-op update (a counting global allocator);
 //! * the fence-latency and combiner batch-size histograms telemetry exists
 //!   to produce;
-//! * per-reader values never go backwards on either read path.
+//! * per-reader snapshot values never go backwards.
 //!
 //! Timing gates compare two runs on the same machine in the same process, so
 //! they hold on noisy hosts, but they need an optimised build and the machine
@@ -243,9 +243,9 @@ fn disabled_telemetry_overhead_within_two_percent() {
     );
 }
 
-/// A combining service with snapshots on, over a simulator that charges a
-/// WPQ-drain-class stall per fence: the writer is fence-bound and holds the
-/// commit lock for most of every batch.
+/// A combining service over a simulator that charges a WPQ-drain-class
+/// stall per fence: the writer is fence-bound and holds the commit lock for
+/// most of every batch.
 fn read_service(writer_ops: usize) -> DurableService<CounterSpec> {
     let pool =
         NvmPool::new(PmemConfig::with_capacity(8 << 30).fence_penalty(Duration::from_micros(50)));
@@ -257,34 +257,27 @@ fn read_service(writer_ops: usize) -> DurableService<CounterSpec> {
             .log_capacity(writer_ops + 1024),
     )
     .unwrap();
-    let service = obj.service(1).unwrap();
-    service.enable_snapshots();
-    service
+    obj.service(1).unwrap()
 }
 
 /// One writer submits `writer_ops` updates while `readers` closed-loop
-/// sessions (10 µs think time) read through the snapshot or the commit lock,
-/// each asserting its values never go backwards. Returns `(writes/s, reads/s)`.
+/// snapshot readers (10 µs think time) read, each asserting its values never
+/// go backwards. Returns `(writes/s, reads/s)`.
 fn mixed_phase(
     service: &DurableService<CounterSpec>,
     readers: usize,
     writer_ops: usize,
-    snapshot: bool,
 ) -> (f64, f64) {
     let stop = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
     let scope_start = Instant::now();
     let write_elapsed = std::thread::scope(|scope| {
         for _ in 0..readers {
-            let (service, stop, reads) = (service.clone(), &stop, &reads);
+            let (mut reader, stop, reads) = (service.snapshot_reader().unwrap(), &stop, &reads);
             scope.spawn(move || {
-                let mut reader = snapshot.then(|| service.snapshot_reader().unwrap());
                 let mut last = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    let value = match &mut reader {
-                        Some(reader) => reader.read(&CounterRead::Get),
-                        None => service.read_latest(&CounterRead::Get),
-                    };
+                    let value = reader.read(&CounterRead::Get);
                     assert!(value >= last, "reads regressed: {value} < {last}");
                     last = value;
                     reads.fetch_add(1, Ordering::Relaxed);
@@ -308,27 +301,19 @@ fn mixed_phase(
 }
 
 #[test]
-fn reads_never_go_backwards_on_either_path() {
-    for snapshot in [true, false] {
-        let service = read_service(200);
-        mixed_phase(&service, 2, 200, snapshot);
-        service.durable().check_invariants().unwrap();
-    }
+fn snapshot_reads_never_go_backwards() {
+    let service = read_service(200);
+    mixed_phase(&service, 2, 200);
+    service.durable().check_invariants().unwrap();
 }
 
 #[test]
 #[ignore = "timing gate: run in release with --test-threads=1"]
-fn snapshot_reads_outscale_locked_reads_at_8_readers() {
+fn snapshot_readers_keep_the_writer_at_pace_at_8_readers() {
     const WRITER_OPS: usize = 1_500;
-    let (write_only, _) = mixed_phase(&read_service(WRITER_OPS), 0, WRITER_OPS, true);
-    let service = read_service(2 * WRITER_OPS);
-    let (mixed_writes, snapshot_reads) = mixed_phase(&service, 8, WRITER_OPS, true);
-    let (_, locked_reads) = mixed_phase(&service, 8, WRITER_OPS, false);
-    let ratio = snapshot_reads / locked_reads;
-    assert!(
-        ratio >= 3.0,
-        "snapshot reads {snapshot_reads:.0}/s are {ratio:.2}x locked reads {locked_reads:.0}/s, below 3x"
-    );
+    let (write_only, _) = mixed_phase(&read_service(WRITER_OPS), 0, WRITER_OPS);
+    let (mixed_writes, reads) = mixed_phase(&read_service(WRITER_OPS), 8, WRITER_OPS);
+    eprintln!("{write_only:.0} writes/s alone; {mixed_writes:.0} writes/s and {reads:.0} reads/s with 8 readers");
     let write_ratio = mixed_writes / write_only;
     assert!(
         write_ratio >= 0.9,

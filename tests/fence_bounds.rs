@@ -1,6 +1,7 @@
 //! Experiment E3 (Theorem 5.1): at most one persistent fence per update and zero
 //! per read-only operation, across object types, workload mixes and thread counts —
-//! and the baselines do not meet the bound.
+//! and the baselines do not meet the bound. A service's snapshot reads also never
+//! wait for a writer: they complete while a combiner holds the commit lock.
 
 use remembering_consistently::baselines::{NaiveDurable, WalDurable};
 use remembering_consistently::harness::{
@@ -8,8 +9,10 @@ use remembering_consistently::harness::{
 };
 use remembering_consistently::nvm::{NvmPool, PmemConfig};
 use remembering_consistently::objects::{CounterOp, CounterRead, CounterSpec, KvSpec, SetSpec};
-use remembering_consistently::onll::{Durable, OnllConfig};
+use remembering_consistently::onll::{Durable, Hooks, OnllConfig, Phase};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn pool() -> NvmPool {
     NvmPool::new(PmemConfig::with_capacity(128 << 20))
@@ -115,7 +118,6 @@ fn snapshot_readers_incur_zero_fences_while_writers_progress() {
     )
     .unwrap();
     let service = obj.service(1).unwrap();
-    service.enable_snapshots();
 
     let readers = 4;
     let writer_ops = 400i64;
@@ -175,6 +177,78 @@ fn snapshot_readers_incur_zero_fences_while_writers_progress() {
         finals.iter().all(|&v| v <= writer_ops),
         "a reader observed more than was written: {finals:?}"
     );
+}
+
+/// Parks a service's combiner inside its commit, at `Phase::BeforePersist`,
+/// where it holds the commit lock; every read path must still complete. A
+/// read that took the lock would wait for the release, which comes only
+/// after the reads' deadline.
+#[test]
+fn snapshot_reads_complete_while_the_combiner_holds_the_commit_lock() {
+    let parked = Arc::new((Mutex::new((false, false)), Condvar::new()));
+    let armed = Arc::new(AtomicBool::new(false));
+    let hooks = {
+        let (parked, armed) = (parked.clone(), armed.clone());
+        Hooks::new(move |phase, _| {
+            if phase == Phase::BeforePersist && armed.swap(false, Ordering::AcqRel) {
+                let (state, cv) = &*parked;
+                let mut state = state.lock().unwrap();
+                state.0 = true;
+                cv.notify_all();
+                while !state.1 {
+                    state = cv.wait(state).unwrap();
+                }
+            }
+        })
+    };
+    let obj = Durable::<CounterSpec>::create_with_hooks(
+        NvmPool::new(PmemConfig::with_capacity(8 << 20)),
+        OnllConfig::named("lock-free").max_processes(3),
+        hooks,
+    )
+    .unwrap();
+    let service = obj.service(2).unwrap();
+    let mut writer = service.client().unwrap();
+    let mut session = service.client().unwrap();
+    let mut reader = service.snapshot_reader().unwrap();
+    writer.submit(CounterOp::Increment).unwrap();
+    let release = || {
+        let (state, cv) = &*parked;
+        state.lock().unwrap().1 = true;
+        cv.notify_all();
+    };
+    std::thread::scope(|scope| {
+        armed.store(true, Ordering::Release);
+        let committing = scope.spawn(move || writer.submit(CounterOp::Increment).unwrap().0);
+        {
+            let (state, cv) = &*parked;
+            let state = state.lock().unwrap();
+            let (state, _) = cv
+                .wait_timeout_while(state, Duration::from_secs(10), |s| !s.0)
+                .unwrap();
+            assert!(state.0, "the combiner never reached its persist stage");
+        }
+        let (done, reads) = std::sync::mpsc::channel();
+        let service = &service;
+        scope.spawn(move || {
+            let values = [
+                reader.read(&CounterRead::Get),
+                session.read_snapshot(&CounterRead::Get),
+                service.read_snapshot(&CounterRead::Get),
+            ];
+            done.send(values).unwrap();
+        });
+        let values = reads.recv_timeout(Duration::from_secs(10));
+        release();
+        let values = values.expect("a snapshot read waited for the commit lock");
+        assert_eq!(
+            values,
+            [1, 1, 1],
+            "reads see the state before the parked batch"
+        );
+        assert_eq!(committing.join().unwrap(), 2);
+    });
+    assert_eq!(service.read_snapshot(&CounterRead::Get), 2);
 }
 
 #[test]

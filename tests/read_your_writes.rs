@@ -1,16 +1,21 @@
-//! Read-your-writes through the lock-free snapshot path.
+//! Recency of the lock-free snapshot path.
 //!
 //! Snapshot reads serve a *published* linearized prefix, not the live trace —
 //! so the recency contract has to be proven, not assumed. The combiner
 //! publishes the new snapshot after its `commit` succeeds and **before** it
 //! posts READY to the batch's riders; a client's acknowledgement therefore
-//! happens-after the publish, and a snapshot read issued after the ack must
-//! observe the acked write (and everything linearized before it).
+//! happens-after the publish, and a snapshot read issued after the ack — by
+//! any session — must observe the acked write (and everything linearized
+//! before it).
 //!
-//! Covered here, on both backends:
+//! Covered here:
 //!
 //! * every acked `Put` is visible to the same session's *next* snapshot read,
-//!   under concurrent writers riding the same combiner batches, and
+//!   under concurrent writers riding the same combiner batches (sim and file
+//!   backends);
+//! * real-time order across sessions: once session A's `Put` is acked and A
+//!   tells session B, B's next snapshot read sees it (sim, file and device
+//!   backends), and
 //! * the contract survives a `SIGKILL` of a real `onll_server` process: the
 //!   restarted incarnation publishes its recovered prefix before accepting
 //!   connections, so snapshot GETs observe every write acked by the previous
@@ -86,6 +91,71 @@ fn ack_then_snapshot_read_on_sim() {
 fn ack_then_snapshot_read_on_file() {
     let dir = ScratchDir::new("ryw-file").unwrap();
     ack_then_snapshot_read(BackendSpec::file(dir.path()));
+}
+
+/// Session A acks a `Put` and then signals session B (a channel message, so
+/// B's read starts after A's ack in real time); B's snapshot read must see
+/// the write. A third session keeps writing, so batches and publishes keep
+/// interleaving with both.
+fn ack_then_cross_session_read(spec: BackendSpec) {
+    let ops = 60;
+    let cfg = OnllConfig::named("rto")
+        .max_processes(4)
+        .log_capacity(2 * ops + 64);
+    let pool = NvmPool::provision(&spec, PmemConfig::with_capacity(64 << 20), &cfg.name)
+        .expect("provision pool");
+    let object = Durable::<KvSpec>::create(pool, cfg).expect("create object");
+    let service = object.service(3).expect("service");
+    let (signal, acked) = std::sync::mpsc::channel::<(String, String)>();
+
+    std::thread::scope(|scope| {
+        let mut a = service.client().expect("client slot");
+        scope.spawn(move || {
+            for k in 0..ops {
+                let (key, value) = (format!("a{k}"), format!("v{k}"));
+                a.submit(KvOp::Put(key.clone(), value.clone()))
+                    .expect("acked put");
+                signal.send((key, value)).expect("reader alive");
+            }
+        });
+        let mut b = service.client().expect("client slot");
+        scope.spawn(move || {
+            for (key, value) in acked {
+                let got = b.read_snapshot(&KvRead::Get(key.clone()));
+                assert_eq!(
+                    value_of(&got),
+                    Some(value.as_str()),
+                    "session B missed {key}, acked to session A before B read"
+                );
+            }
+        });
+        let mut noise = service.client().expect("client slot");
+        scope.spawn(move || {
+            for k in 0..ops {
+                noise
+                    .submit(KvOp::Put(format!("n{k}"), "x".into()))
+                    .expect("acked put");
+            }
+        });
+    });
+    assert_eq!(service.read_snapshot(&KvRead::Len), KvValue::Len(2 * ops));
+}
+
+#[test]
+fn ack_then_cross_session_read_on_sim() {
+    ack_then_cross_session_read(BackendSpec::Sim);
+}
+
+#[test]
+fn ack_then_cross_session_read_on_file() {
+    let dir = ScratchDir::new("rto-file").unwrap();
+    ack_then_cross_session_read(BackendSpec::file(dir.path()));
+}
+
+#[test]
+fn ack_then_cross_session_read_on_device() {
+    let dir = ScratchDir::new("rto-device").unwrap();
+    ack_then_cross_session_read(BackendSpec::device(dir.path().join("pool.dev")));
 }
 
 /// A spawned server process, killed on drop (`READY <port> <recovered>`).
