@@ -374,7 +374,7 @@ fn make_snapshot<S: SequentialSpec + Clone>(handle: &mut ProcessHandle<S>) -> Re
 /// A concurrent session layer over one [`Durable`] object: N client threads
 /// [`ServiceClient::submit`] update operations, and per batch one of them
 /// (the commit-lock winner) persists all pending operations with a **single
-/// persistent fence** — see the [module documentation](self) for the protocol
+/// persistent fence** — see the `combine` module documentation for the protocol
 /// and the amortized-cost argument.
 ///
 /// Cloning is cheap; clones refer to the same service.
@@ -860,7 +860,7 @@ impl<S: SequentialSpec> Drop for ServiceClient<S> {
         // Mirror ProcessHandle::drop: lower the identity slot's progress to
         // the conservative floor *before* releasing the claim.
         let shared = &self.service.durable.shared;
-        shared.progress[self.pid].store(shared.base_index, Ordering::Release);
+        shared.progress[self.pid].store(shared.trace.base_idx(), Ordering::Release);
         shared.claimed[self.pid].store(false, Ordering::Release);
     }
 }

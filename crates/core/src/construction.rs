@@ -13,6 +13,11 @@
 //!   checkpointable specs) rebuild the transient execution trace from the
 //!   persistent logs after a crash (Listing 5) and report which operations were
 //!   linearized before the crash (detectable execution).
+//!
+//! All three end in one private `open`, which builds the shared state: a fresh
+//! object is the recovery of its empty logs from INITIALIZE, and a recovered
+//! one starts from the checkpoint it chose, if any. That starting state seeds
+//! fresh views until a newer checkpoint publishes.
 
 use crate::checkpoint;
 use crate::config::OnllConfig;
@@ -56,12 +61,13 @@ impl RecoveryReport {
 }
 
 /// Seed for fresh local views and anonymous replays: the newest *published*
-/// checkpoint's watermark and a factory decoding its state. Without it, a
-/// handle registered after trace-prefix reclamation would start from the base
-/// state and silently miss the reclaimed history.
+/// checkpoint's watermark and a factory decoding its state, or the state the
+/// object opened from. Without it, a handle registered after trace-prefix
+/// reclamation would start from the base state and silently miss the
+/// reclaimed history.
 pub(crate) struct SnapshotSeed<S> {
     pub(crate) idx: u64,
-    pub(crate) make: Arc<dyn Fn() -> S + Send + Sync>,
+    pub(crate) make: Box<dyn Fn() -> S + Send + Sync>,
 }
 
 pub(crate) struct Shared<S: SequentialSpec> {
@@ -108,15 +114,11 @@ pub(crate) struct Shared<S: SequentialSpec> {
     /// Notified, under `maintainer`, when a checkpoint publishes: the owner
     /// of a full log waits here for the maintainer's checkpoint.
     pub(crate) checkpointed: Condvar,
-    /// Execution index represented by the trace's sentinel (checkpoint index).
-    pub(crate) base_index: u64,
-    /// Builds the state corresponding to the sentinel (INITIALIZE or the decoded
-    /// checkpoint the recovery started from).
-    pub(crate) base_state: Box<dyn Fn() -> S + Send + Sync>,
-    /// Newest published checkpoint of this incarnation, seeding views created
-    /// after trace reclamation. Reclamation never passes the stored `idx`, so a
-    /// seeded view's missing suffix is always still linked.
-    pub(crate) snapshot: RwLock<Option<SnapshotSeed<S>>>,
+    /// Seed of fresh views: the state the object opened from (INITIALIZE, or
+    /// the checkpoint recovery started from), replaced by each newer published
+    /// checkpoint of this incarnation. Reclamation never passes the stored
+    /// `idx`, so a seeded view's missing suffix is always still linked.
+    pub(crate) snapshot: RwLock<SnapshotSeed<S>>,
     /// Operations found in the logs by the most recent recovery, keyed by
     /// identity with their execution index (for detectable-execution queries).
     /// Pruned below the checkpoint watermark whenever a checkpoint publishes,
@@ -174,7 +176,7 @@ impl<S: SequentialSpec> Shared<S> {
     }
 
     /// Claims a slot by CAS. Progress of an unclaimed slot is always at the
-    /// conservative `base_index` floor (initialized there; lowered again by
+    /// conservative `trace.base_idx()` floor (initialized there; lowered again by
     /// the previous owner before it released the claim), so a new owner's
     /// fresh view can never be outrun by trace reclamation between this claim
     /// and the owner publishing its own progress. Only a slot's owner ever
@@ -185,15 +187,15 @@ impl<S: SequentialSpec> Shared<S> {
             .is_ok()
     }
 
-    /// Seed for a fresh view or anonymous replay: the newest published snapshot
-    /// if any, else the recovery/creation base. Validated against the reclaim
+    /// Seed for a fresh view or anonymous replay: the newest published snapshot,
+    /// or the state the object opened from. Validated against the reclaim
     /// floor and retried, because a concurrent checkpoint may publish a newer
     /// snapshot and reclaim the trace past a just-read older seed.
     pub(crate) fn view_seed(&self) -> (u64, S) {
         loop {
-            let (idx, state) = match self.snapshot.read().as_ref() {
-                Some(seed) => (seed.idx, (seed.make)()),
-                None => (self.base_index, (self.base_state)()),
+            let (idx, state) = {
+                let seed = self.snapshot.read();
+                (seed.idx, (seed.make)())
             };
             // Reclamation is clamped at the stored snapshot index, so once the
             // floor is visible the snapshot covering it is too — the retry
@@ -222,9 +224,34 @@ impl<S: SequentialSpec> Clone for Durable<S> {
     }
 }
 
-/// Decoded metadata block: `(max_processes, log geometry, checkpoint slot
-/// bytes, per-process log bases, per-process checkpoint bases)`.
-type DecodedMeta = (usize, LogConfig, usize, Vec<PAddr>, Vec<PAddr>);
+/// Where an object's logs and checkpoint areas live, as its metadata block
+/// records them.
+struct Meta {
+    log_cfg: LogConfig,
+    log_bases: Vec<PAddr>,
+    cp_bases: Vec<PAddr>,
+}
+
+/// The state an object opens from: INITIALIZE at index 0, or the checkpoint
+/// recovery chose, with its epoch and per-process sequence floors.
+struct Base<S> {
+    seed: SnapshotSeed<S>,
+    epoch: u64,
+    floors: Vec<u64>,
+}
+
+impl<S: SequentialSpec> Base<S> {
+    fn initial(max_processes: usize) -> Self {
+        Base {
+            seed: SnapshotSeed {
+                idx: 0,
+                make: Box::new(S::initialize),
+            },
+            epoch: 0,
+            floors: vec![0; max_processes],
+        }
+    }
+}
 
 fn meta_root(name: &str) -> RootId {
     RootId::from_name(&format!("onll:{name}:meta"))
@@ -235,14 +262,6 @@ fn meta_size(max_processes: usize) -> usize {
 }
 
 impl<S: SequentialSpec> Durable<S> {
-    fn log_config(config: &OnllConfig) -> LogConfig {
-        // Entries hold the worst-case fuzzy window: every process with a full
-        // group in flight (max_processes * max_group_ops operations).
-        LogConfig::for_processes(config.ops_per_entry())
-            .op_slot_size(record_slot_size::<S::UpdateOp>())
-            .capacity_entries(config.log_capacity_entries)
-    }
-
     /// Formats a fresh object in `pool` under `config.name` and returns it.
     ///
     /// Fails if an object with the same name already exists in the pool (use
@@ -255,12 +274,9 @@ impl<S: SequentialSpec> Durable<S> {
     /// crash harness and the Figure-1 / lower-bound reproductions).
     pub fn create_with_hooks(
         pool: NvmPool,
-        config: OnllConfig,
+        mut config: OnllConfig,
         hooks: Hooks,
     ) -> Result<Self, OnllError> {
-        // With telemetry enabled on the pool, phase-span hooks ride along with
-        // whatever the caller installed; with it disabled this is the identity.
-        let hooks = crate::phase_spans::install(pool.telemetry(), hooks);
         let root = meta_root(&config.name);
         if pool.get_root(root).is_some() {
             return Err(OnllError::MetadataMismatch(format!(
@@ -268,7 +284,11 @@ impl<S: SequentialSpec> Durable<S> {
                 config.name
             )));
         }
-        let log_cfg = Self::log_config(&config);
+        // Entries hold the worst-case fuzzy window: every process with a full
+        // group in flight (max_processes * max_group_ops operations).
+        let log_cfg = LogConfig::for_processes(config.ops_per_entry())
+            .op_slot_size(record_slot_size::<S::UpdateOp>())
+            .capacity_entries(config.log_capacity_entries);
         let mut log_bases = Vec::with_capacity(config.max_processes);
         let mut cp_bases = Vec::with_capacity(config.max_processes);
         for _ in 0..config.max_processes {
@@ -307,46 +327,15 @@ impl<S: SequentialSpec> Durable<S> {
         pool.persist(meta_addr, &meta)?;
         pool.set_root(root, meta_addr, meta.len() as u64)?;
 
-        let shared = Shared {
-            trace: ExecutionTrace::new(None),
-            pool,
-            claimed: (0..config.max_processes)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            progress: (0..config.max_processes)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            last_op_seq: (0..config.max_processes)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            checkpoint_watermark: AtomicU64::new(0),
-            resolve_floor: (0..config.max_processes)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            log_live_entries: (0..config.max_processes)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            base_index: 0,
-            base_state: Box::new(S::initialize),
-            snapshot: RwLock::new(None),
-            recovered: Mutex::new(HashMap::new()),
-            commit_poisoned: AtomicBool::new(false),
-            service_owner: AtomicUsize::new(NO_SERVICE),
-            checkpoint_due: AtomicBool::new(false),
-            maintainer: Mutex::new(None),
-            checkpointed: Condvar::new(),
-            hooks,
-            log_cfg,
-            log_bases,
-            cp_bases,
-            config,
-        };
-        Ok(Durable {
-            shared: Arc::new(shared),
-        })
+        // A fresh object is the recovery of its empty logs.
+        let meta = Self::read_meta(&pool, &mut config)?;
+        let base = Base::initial(config.max_processes);
+        Ok(Self::open(pool, config, hooks, meta, base)?.0)
     }
 
-    fn read_meta(pool: &NvmPool, config: &OnllConfig) -> Result<DecodedMeta, OnllError> {
+    /// Reads the metadata block of `config.name` and adopts the geometry it
+    /// records into `config`.
+    fn read_meta(pool: &NvmPool, config: &mut OnllConfig) -> Result<Meta, OnllError> {
         let root = meta_root(&config.name);
         let (meta_addr, meta_len) = pool
             .get_root(root)
@@ -389,10 +378,18 @@ impl<S: SequentialSpec> Durable<S> {
                 meta[off + 8..off + 16].try_into().unwrap(),
             ));
         }
+        config.max_processes = max_processes;
+        config.log_capacity_entries = log_capacity;
+        config.checkpoint_slot_bytes = cp_slot_bytes;
+        config.max_group_ops = (ops_per_entry / max_processes).max(1);
         let log_cfg = LogConfig::for_processes(ops_per_entry)
             .op_slot_size(op_slot_size)
             .capacity_entries(log_capacity);
-        Ok((max_processes, log_cfg, cp_slot_bytes, log_bases, cp_bases))
+        Ok(Meta {
+            log_cfg,
+            log_bases,
+            cp_bases,
+        })
     }
 
     /// Recovers an object (Listing 5) that does **not** use checkpoints: the
@@ -401,48 +398,41 @@ impl<S: SequentialSpec> Durable<S> {
     /// Returns the recovered object and a [`RecoveryReport`] describing what was
     /// found (the basis of detectable execution). Fails if a checkpoint exists in
     /// the pool — use [`Durable::recover_with_checkpoints`] in that case.
-    pub fn recover(pool: NvmPool, config: OnllConfig) -> Result<(Self, RecoveryReport), OnllError> {
-        let (max_processes, log_cfg, cp_slot_bytes, log_bases, cp_bases) =
-            Self::read_meta(&pool, &config)?;
-        if checkpoint::read_best(&pool, &cp_bases, cp_slot_bytes, max_processes).is_some() {
+    pub fn recover(
+        pool: NvmPool,
+        mut config: OnllConfig,
+    ) -> Result<(Self, RecoveryReport), OnllError> {
+        let meta = Self::read_meta(&pool, &mut config)?;
+        let (cp_slot_bytes, max_processes) = (config.checkpoint_slot_bytes, config.max_processes);
+        if checkpoint::read_best(&pool, &meta.cp_bases, cp_slot_bytes, max_processes).is_some() {
             return Err(OnllError::MetadataMismatch(
                 "a checkpoint exists; recover_with_checkpoints must be used".into(),
             ));
         }
-        Self::finish_recovery(
-            pool,
-            config,
-            max_processes,
-            log_cfg,
-            cp_slot_bytes,
-            log_bases,
-            cp_bases,
-            0,
-            0,
-            vec![0; max_processes],
-            Box::new(S::initialize),
-        )
+        let base = Base::initial(max_processes);
+        Self::open(pool, config, Hooks::none(), meta, base)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_recovery(
+    /// Rebuilds the object above `base` from its persistent logs (Listing 5).
+    /// Creation and both recoveries end here, so the shared state is built in
+    /// one place.
+    fn open(
         pool: NvmPool,
-        mut config: OnllConfig,
-        max_processes: usize,
-        log_cfg: LogConfig,
-        cp_slot_bytes: usize,
-        log_bases: Vec<PAddr>,
-        cp_bases: Vec<PAddr>,
-        base_index: u64,
-        base_epoch: u64,
-        base_floors: Vec<u64>,
-        base_state: Box<dyn Fn() -> S + Send + Sync>,
+        config: OnllConfig,
+        hooks: Hooks,
+        meta: Meta,
+        base: Base<S>,
     ) -> Result<(Self, RecoveryReport), OnllError> {
-        let hooks = crate::phase_spans::install(pool.telemetry(), Hooks::none());
-        config.max_processes = max_processes;
-        config.log_capacity_entries = log_cfg.capacity_entries;
-        config.checkpoint_slot_bytes = cp_slot_bytes;
-        config.max_group_ops = (log_cfg.max_ops_per_entry / max_processes).max(1);
+        // With telemetry enabled on the pool, phase-span hooks ride along with
+        // whatever the caller installed; with it disabled this is the identity.
+        let hooks = crate::phase_spans::install(pool.telemetry(), hooks);
+        let Meta {
+            log_cfg,
+            log_bases,
+            cp_bases,
+        } = meta;
+        let max_processes = config.max_processes;
+        let base_index = base.seed.idx;
 
         // Gather every process's valid log entries.
         let mut per_process_entries = Vec::with_capacity(max_processes);
@@ -479,8 +469,8 @@ impl<S: SequentialSpec> Durable<S> {
         // floors participate too: an identity compacted below the watermark is no
         // longer in any log, and handing it out again would let a fresh operation
         // collide with a checkpoint-covered one (breaking exactly-once resolve).
-        debug_assert_eq!(base_floors.len(), max_processes);
-        let mut last_op_seq: Vec<u64> = base_floors.clone();
+        debug_assert_eq!(base.floors.len(), max_processes);
+        let mut last_op_seq: Vec<u64> = base.floors.clone();
         for (_, op_id) in &recovered_ops {
             if (op_id.pid as usize) < max_processes {
                 last_op_seq[op_id.pid as usize] = last_op_seq[op_id.pid as usize].max(op_id.seq);
@@ -496,11 +486,9 @@ impl<S: SequentialSpec> Durable<S> {
                 .collect(),
             last_op_seq: last_op_seq.into_iter().map(AtomicU64::new).collect(),
             checkpoint_watermark: AtomicU64::new(base_index),
-            resolve_floor: base_floors.into_iter().map(AtomicU64::new).collect(),
+            resolve_floor: base.floors.into_iter().map(AtomicU64::new).collect(),
             log_live_entries: per_process_live.into_iter().map(AtomicU64::new).collect(),
-            base_index,
-            base_state,
-            snapshot: RwLock::new(None),
+            snapshot: RwLock::new(base.seed),
             recovered: Mutex::new(recovered_set),
             commit_poisoned: AtomicBool::new(false),
             service_owner: AtomicUsize::new(NO_SERVICE),
@@ -515,7 +503,7 @@ impl<S: SequentialSpec> Durable<S> {
         };
         let report = RecoveryReport {
             checkpoint_index: base_index,
-            checkpoint_epoch: base_epoch,
+            checkpoint_epoch: base.epoch,
             durable_index,
             recovered_ops,
         };
@@ -747,43 +735,29 @@ impl<S: SnapshotSpec> Durable<S> {
     /// what checksums catch, decodable.
     pub fn recover_with_checkpoints(
         pool: NvmPool,
-        config: OnllConfig,
+        mut config: OnllConfig,
     ) -> Result<(Self, RecoveryReport), OnllError> {
-        let (max_processes, log_cfg, cp_slot_bytes, log_bases, cp_bases) =
-            Self::read_meta(&pool, &config)?;
+        let meta = Self::read_meta(&pool, &mut config)?;
+        let (cp_slot_bytes, max_processes) = (config.checkpoint_slot_bytes, config.max_processes);
         // Newest-first fallback chain: first checksum-valid checkpoint whose
         // state also decodes wins; an empty chain means full replay.
-        let mut chosen: Option<checkpoint::ValidSlot> = None;
-        for slot in checkpoint::read_all_valid(&pool, &cp_bases, cp_slot_bytes, max_processes) {
-            if S::decode_state(&slot.state).is_some() {
-                chosen = Some(slot);
-                break;
-            }
-        }
-        type BaseState<S> = Box<dyn Fn() -> S + Send + Sync>;
-        let (base_index, base_epoch, base_floors, base_state): (u64, u64, Vec<u64>, BaseState<S>) =
-            match chosen {
-                Some(slot) => (
-                    slot.stamp.execution_index,
-                    slot.stamp.epoch,
-                    slot.seq_floors,
-                    Box::new(move || S::decode_state(&slot.state).expect("validated above")),
-                ),
-                None => (0, 0, vec![0; max_processes], Box::new(S::initialize)),
-            };
-        Self::finish_recovery(
-            pool,
-            config,
-            max_processes,
-            log_cfg,
-            cp_slot_bytes,
-            log_bases,
-            cp_bases,
-            base_index,
-            base_epoch,
-            base_floors,
-            base_state,
-        )
+        let base = checkpoint::read_all_valid(&pool, &meta.cp_bases, cp_slot_bytes, max_processes)
+            .into_iter()
+            .find(|slot| S::decode_state(&slot.state).is_some())
+            .map_or_else(
+                || Base::initial(max_processes),
+                |slot| Base {
+                    seed: SnapshotSeed {
+                        idx: slot.stamp.execution_index,
+                        make: Box::new(move || {
+                            S::decode_state(&slot.state).expect("validated above")
+                        }),
+                    },
+                    epoch: slot.stamp.epoch,
+                    floors: slot.seq_floors,
+                },
+            );
+        Self::open(pool, config, Hooks::none(), meta, base)
     }
 }
 

@@ -141,7 +141,7 @@ impl<S: SequentialSpec> ProcessHandle<S> {
     }
 
     /// Fallible variant of [`ProcessHandle::update`]: a batch of one through
-    /// [`ProcessHandle::commit`].
+    /// the commit path every update takes.
     pub fn try_update(&mut self, op: S::UpdateOp) -> Result<S::Value, OnllError> {
         let shared = self.shared.clone();
         let mut value = None;
@@ -627,29 +627,23 @@ impl<S: SnapshotSpec> ProcessHandle<S> {
         // Publish the snapshot as the seed for views registered (and anonymous
         // replays performed) after reclamation — they must not start from the
         // base state once the prefix below the watermark is unlinked.
-        {
-            let mut snapshot = self.shared.snapshot.write();
-            if snapshot.as_ref().is_none_or(|s| s.idx < idx) {
-                let state_bytes = bytes.clone();
-                *snapshot = Some(crate::construction::SnapshotSeed {
+        let snapshot_floor = {
+            let mut seed = self.shared.snapshot.write();
+            if seed.idx < idx {
+                *seed = crate::construction::SnapshotSeed {
                     idx,
-                    make: Arc::new(move || {
-                        S::decode_state(&state_bytes)
+                    make: Box::new(move || {
+                        S::decode_state(&bytes)
                             .expect("a published checkpoint's state always decodes")
                     }),
-                });
+                };
             }
-        }
+            seed.idx
+        };
 
         // Reclaim the shared trace prefix below both the slowest registered
         // process *and* the stored snapshot (fresh views seed from the latter,
         // so nodes above it must stay linked).
-        let snapshot_floor = self
-            .shared
-            .snapshot
-            .read()
-            .as_ref()
-            .map_or(self.shared.base_index, |s| s.idx);
         if let Some(min) = self.shared.min_progress() {
             let reclaim_to = min.min(snapshot_floor);
             let floor = self.shared.trace.reclaim_floor();
@@ -748,7 +742,7 @@ impl<S: SequentialSpec> Drop for ProcessHandle<S> {
         // owner is still building its view. The release of `claimed`
         // synchronizes with the claimer's acquire CAS, making the reset
         // visible to it.
-        self.shared.progress[self.pid].store(self.shared.base_index, Ordering::Release);
+        self.shared.progress[self.pid].store(self.shared.trace.base_idx(), Ordering::Release);
         // Release the slot so the process identifier can be claimed again (e.g.
         // after recovery or when worker threads are re-spawned).
         self.shared.claimed[self.pid].store(false, Ordering::Release);

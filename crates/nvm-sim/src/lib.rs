@@ -53,7 +53,6 @@
 mod armed;
 mod backend;
 mod cache;
-mod cell;
 mod device;
 mod error;
 mod fault;
@@ -66,7 +65,6 @@ mod thread_slot;
 
 pub use armed::CrashTrigger;
 pub use backend::{scratch_dir, BackendSpec, CrashToken, ScratchDir};
-pub use cell::{PBytes, PU32, PU64};
 pub use device::{PersistDevice, DEVICE_ABORT_ENV};
 pub use error::NvmError;
 pub use fault::{error_is_transient, message_is_transient, FaultKind, FaultPlan, FaultRule};

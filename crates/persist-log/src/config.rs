@@ -7,7 +7,7 @@ use nvm_sim::CACHE_LINE_SIZE;
 /// The ring is made of fixed-**stride** slots so entry addresses stay
 /// computable ([`LogConfig::entry_size`] is the stride), but entries stored in
 /// those slots are **variable-length**: an append writes and flushes only the
-/// bytes the entry occupies (see [`crate::entry`]). The stride is sized from
+/// bytes the entry occupies (see the `entry` module). The stride is sized from
 /// `max_ops_per_entry` and `op_slot_size` so the worst-case fuzzy window —
 /// every op at its maximum encoded size — always fits; typical entries occupy
 /// a small fraction of it, and the slack costs address space, not write

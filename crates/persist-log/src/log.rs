@@ -54,8 +54,8 @@ const HDR_TRUNCATIONS: u64 = 16;
 /// [`PersistentLog::append`] encodes single-writer-ness); other processes never
 /// write to it, matching the paper's per-process logs.
 ///
-/// Entries are variable-length within fixed-stride ring slots (see
-/// [`crate::entry`]): appends encode into a scratch buffer owned by the log and
+/// Entries are variable-length within fixed-stride ring slots (see the
+/// `entry` module): appends encode into a scratch buffer owned by the log and
 /// write/flush only the occupied bytes, so the store cost of an append is
 /// proportional to the operations it records, not to the worst-case slot
 /// geometry. The steady-state append path performs **no heap allocation**.

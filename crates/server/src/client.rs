@@ -361,18 +361,12 @@ impl WireClient {
         key: &str,
         value: &str,
     ) -> Result<(KvValue, usize), ClientError> {
-        let shard = self.shard_of(key);
-        self.note_id(shard, op_id);
-        wire::write_request(
-            &mut self.writer,
-            &Request::Put {
-                op_id,
-                key: key.to_string(),
-                value: value.to_string(),
-            },
-        )?;
-        let (shard, value) = self.read_value()?;
-        Ok((value, shard as usize))
+        let request = Request::Put {
+            op_id,
+            key: key.to_string(),
+            value: value.to_string(),
+        };
+        self.update_with_id(op_id, key, &request)
     }
 
     /// Replays a `Delete` under a caller-supplied identity (exactly-once
@@ -382,30 +376,31 @@ impl WireClient {
         op_id: OpId,
         key: &str,
     ) -> Result<(KvValue, usize), ClientError> {
-        let shard = self.shard_of(key);
-        self.note_id(shard, op_id);
-        wire::write_request(
-            &mut self.writer,
-            &Request::Delete {
-                op_id,
-                key: key.to_string(),
-            },
-        )?;
+        let request = Request::Delete {
+            op_id,
+            key: key.to_string(),
+        };
+        self.update_with_id(op_id, key, &request)
+    }
+
+    /// Sends `request`, an update on `key` under identity `op_id`, and waits
+    /// for its durability acknowledgement. Returns the value and the shard.
+    fn update_with_id(
+        &mut self,
+        op_id: OpId,
+        key: &str,
+        request: &Request,
+    ) -> Result<(KvValue, usize), ClientError> {
+        self.note_id(self.shard_of(key), op_id);
+        wire::write_request(&mut self.writer, request)?;
         let (shard, value) = self.read_value()?;
         Ok((value, shard as usize))
     }
 
     /// Removes `key`, blocking until durable.
     pub fn delete(&mut self, key: &str) -> Result<(KvValue, usize, OpId), ClientError> {
-        let (shard, op_id) = self.assign_id(key);
-        wire::write_request(
-            &mut self.writer,
-            &Request::Delete {
-                op_id,
-                key: key.to_string(),
-            },
-        )?;
-        let (_, value) = self.read_value()?;
+        let (_, op_id) = self.assign_id(key);
+        let (value, shard) = self.delete_with_id(op_id, key)?;
         Ok((value, shard, op_id))
     }
 
@@ -611,34 +606,26 @@ impl ResilientSession {
     /// Insert/overwrite `key` with exactly-once semantics across reconnects.
     /// Returns the previous value, the serving shard, and the identity.
     pub fn put(&mut self, key: &str, value: &str) -> Result<(KvValue, usize, OpId), ClientError> {
-        let mut id: Option<(usize, OpId)> = None;
-        let key_owned = key.to_string();
-        let value_owned = value.to_string();
-        self.run(move |client, mode| {
-            let (shard, op_id) = *id.get_or_insert_with(|| client.assign_id(&key_owned));
-            if let Attempt::ResolveFirst = mode {
-                match client.resolve(shard, op_id)? {
-                    RetryOutcome::Executed(v) => return Ok((v, shard, op_id)),
-                    RetryOutcome::Unknown => {}
-                    RetryOutcome::Truncated => {
-                        return Err(ClientError::Server {
-                            retryable: false,
-                            message: format!("{op_id:?} truncated: outcome compacted away"),
-                        })
-                    }
-                }
-            }
-            let (v, s) = client.put_with_id(op_id, &key_owned, &value_owned)?;
-            Ok((v, s, op_id))
-        })
+        self.update_once(key, |client, op_id| client.put_with_id(op_id, key, value))
     }
 
     /// Removes `key` with exactly-once semantics across reconnects.
     pub fn delete(&mut self, key: &str) -> Result<(KvValue, usize, OpId), ClientError> {
+        self.update_once(key, |client, op_id| client.delete_with_id(op_id, key))
+    }
+
+    /// Runs the update `send` under one identity minted for `key`. After a
+    /// failure that leaves its outcome unknown, the identity is resolved
+    /// first: an executed update's result is adopted, and only one that
+    /// never ran is sent again.
+    fn update_once(
+        &mut self,
+        key: &str,
+        mut send: impl FnMut(&mut WireClient, OpId) -> Result<(KvValue, usize), ClientError>,
+    ) -> Result<(KvValue, usize, OpId), ClientError> {
         let mut id: Option<(usize, OpId)> = None;
-        let key_owned = key.to_string();
         self.run(move |client, mode| {
-            let (shard, op_id) = *id.get_or_insert_with(|| client.assign_id(&key_owned));
+            let (shard, op_id) = *id.get_or_insert_with(|| client.assign_id(key));
             if let Attempt::ResolveFirst = mode {
                 match client.resolve(shard, op_id)? {
                     RetryOutcome::Executed(v) => return Ok((v, shard, op_id)),
@@ -651,7 +638,7 @@ impl ResilientSession {
                     }
                 }
             }
-            let (v, s) = client.delete_with_id(op_id, &key_owned)?;
+            let (v, s) = send(client, op_id)?;
             Ok((v, s, op_id))
         })
     }

@@ -302,7 +302,9 @@ impl OnllServer {
             .pool_path("server-kv/shard0")
             .is_some_and(|p| p.exists());
         let (store, recovered) = if exists {
-            let (store, report) = ShardedDurable::reopen_with_checkpoints(shard_config, router)?;
+            let pools = shard_config.open_pools()?;
+            let (store, report) =
+                ShardedDurable::recover_with_checkpoints(pools, shard_config, router)?;
             // Checkpoint-inclusive: the sum of per-shard durable *execution
             // indices*, not `total_durable()` (which counts only the replayed
             // tails above checkpoints and so can shrink as checkpoints land).

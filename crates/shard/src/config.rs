@@ -69,11 +69,10 @@ impl ShardConfig {
         self
     }
 
-    /// Provisions one fresh pool per shard on the configured backend: the
-    /// partitioned [`ShardConfig::pmem`] slices on [`ShardConfig::backend`].
-    /// Used by `ShardedDurable::create`; also useful to pre-create pools that
-    /// outlive the object across crash/recovery cycles.
-    pub fn provision_pools(&self) -> Result<Vec<NvmPool>, NvmError> {
+    /// Provisions one fresh pool per shard: the partitioned
+    /// [`ShardConfig::pmem`] slices on [`ShardConfig::backend`], for
+    /// `ShardedDurable::create`.
+    pub(crate) fn provision_pools(&self) -> Result<Vec<NvmPool>, NvmError> {
         self.pmem
             .partition(self.shards)
             .into_iter()
@@ -82,10 +81,11 @@ impl ShardConfig {
             .collect()
     }
 
-    /// Reopens the per-shard pools previously provisioned under this config —
-    /// the cross-process recovery entry point for sharded objects (pass the
-    /// result to `ShardedDurable::recover*`). Fails for the simulator, which
-    /// has no cross-process representation.
+    /// Reopens the per-shard pools `ShardedDurable::create` provisioned under
+    /// this config, so a freshly started process can recover the object:
+    /// pass the result to `ShardedDurable::recover` or
+    /// `ShardedDurable::recover_with_checkpoints`. Fails for the simulator,
+    /// which has no cross-process representation.
     pub fn open_pools(&self) -> Result<Vec<NvmPool>, NvmError> {
         self.pmem
             .partition(self.shards)

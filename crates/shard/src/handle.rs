@@ -58,63 +58,6 @@ impl<S: KeyedSpec> ShardedHandle<S> {
         self.handles[shard].try_update(op)
     }
 
-    /// Performs a batch of updates with **at most one persistent fence per
-    /// *touched shard***: operations are grouped by owning shard (preserving
-    /// per-shard order) and each group is persisted via a single
-    /// fence-amortized `update_group`. Returns the values in input order.
-    ///
-    /// Batches larger than `max_group_ops` per shard are split into successive
-    /// groups of at most that size.
-    ///
-    /// # Partial failure
-    ///
-    /// Shards are processed in index order and the batch is **not atomic
-    /// across shards**: if a group persist fails (e.g.
-    /// [`OnllError::LogFull`]), groups already persisted on lower-numbered
-    /// shards stay durable and linearized, while the failing shard's and all
-    /// later shards' operations were never ordered; the error discards the
-    /// earlier groups' return values. Callers needing to resolve exactly which
-    /// operations took effect can query per-shard detectable execution, or use
-    /// [`ShardedHandle::buffer_update`] / [`ShardedHandle::flush`], whose
-    /// buffers survive errors for retry.
-    pub fn update_batch(&mut self, ops: Vec<S::UpdateOp>) -> Result<Vec<S::Value>, OnllError> {
-        let shards = self.handles.len();
-        let mut routed: Vec<Vec<S::UpdateOp>> = (0..shards).map(|_| Vec::new()).collect();
-        // Remember each input's (shard, position-within-shard) to restore order.
-        let mut placement = Vec::with_capacity(ops.len());
-        for op in ops {
-            let shard = self.router.route(&S::update_key(&op));
-            placement.push((shard, routed[shard].len()));
-            routed[shard].push(op);
-        }
-        let max_group = self.group.group_size();
-        let mut per_shard_values: Vec<Vec<S::Value>> = Vec::with_capacity(shards);
-        for (shard, shard_ops) in routed.into_iter().enumerate() {
-            let mut values = Vec::with_capacity(shard_ops.len());
-            if !shard_ops.is_empty() {
-                let mut remaining = shard_ops;
-                while !remaining.is_empty() {
-                    let tail = remaining.split_off(remaining.len().min(max_group));
-                    values.extend(self.handles[shard].try_update_group(remaining)?);
-                    remaining = tail;
-                }
-            }
-            per_shard_values.push(values);
-        }
-        let mut per_shard_values: Vec<std::vec::IntoIter<S::Value>> = per_shard_values
-            .into_iter()
-            .map(|v| v.into_iter())
-            .collect();
-        Ok(placement
-            .into_iter()
-            .map(|(shard, _)| {
-                per_shard_values[shard]
-                    .next()
-                    .expect("one value per routed operation")
-            })
-            .collect())
-    }
-
     /// Buffers an update in the group-persist layer instead of persisting it
     /// immediately. The operation is not ordered, durable or visible until its
     /// shard flushes — automatically once the shard's buffer reaches the group

@@ -14,7 +14,7 @@
 //!   update is one ONLL update on one shard: durably linearizable, detectably
 //!   executed, at most one persistent fence; reads cost zero fences.
 //! * **Fence-amortized group persist** ([`GroupPersist`],
-//!   [`ShardedHandle::buffer_update`] / [`ShardedHandle::update_batch`]) —
+//!   [`ShardedHandle::buffer_update`] / [`ShardedHandle::flush`]) —
 //!   updates bound for the same shard coalesce into a single fuzzy-window log
 //!   append: one persistent fence per *group*, amortizing the inherent cost
 //!   the same way lifecycle-aware persistence amortizes retention costs.

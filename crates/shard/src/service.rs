@@ -27,7 +27,7 @@ use onll::{DurableService, KeyedSpec, OnllError, OpId, ResolveOutcome, ServiceCl
 use std::sync::Arc;
 
 /// A combining-commit session layer over every shard of a
-/// [`ShardedDurable`] — see the [module documentation](self).
+/// [`ShardedDurable`] — see the `service` module documentation.
 ///
 /// Cloning is cheap; clones refer to the same per-shard services.
 pub struct ShardedService<S: KeyedSpec> {

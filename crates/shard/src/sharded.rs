@@ -45,45 +45,23 @@ impl<S: KeyedSpec> Clone for ShardedDurable<S> {
 
 impl<S: KeyedSpec> ShardedDurable<S> {
     /// Formats a fresh sharded object: partitions `config.pmem` into one pool
-    /// per shard and creates an ONLL instance in each.
+    /// per shard on `config.backend` and creates an ONLL instance in each.
     pub fn create(
         config: ShardConfig,
         router: Arc<dyn ShardRouter<S::Key>>,
     ) -> Result<Self, OnllError> {
-        Self::create_with_shard_hooks(config, router, |_| Hooks::none())
+        Self::create_with_hooks(config, router, |_| Hooks::none())
     }
 
     /// Like [`ShardedDurable::create`], installing per-shard execution hooks
     /// (used by the crash harness to stall or kill individual shards).
-    pub fn create_with_shard_hooks(
+    pub fn create_with_hooks(
         config: ShardConfig,
         router: Arc<dyn ShardRouter<S::Key>>,
         hooks_for: impl Fn(usize) -> Hooks,
     ) -> Result<Self, OnllError> {
         Self::check_router(&config, router.as_ref())?;
         let pools = config.provision_pools()?;
-        Self::create_in_pools_with_hooks(pools, config, router, hooks_for)
-    }
-
-    /// Creates the shards inside caller-provided pools (one per shard). Useful
-    /// when pools outlive the object, e.g. across crash/recovery cycles.
-    pub fn create_in_pools(
-        pools: Vec<NvmPool>,
-        config: ShardConfig,
-        router: Arc<dyn ShardRouter<S::Key>>,
-    ) -> Result<Self, OnllError> {
-        Self::create_in_pools_with_hooks(pools, config, router, |_| Hooks::none())
-    }
-
-    /// [`ShardedDurable::create_in_pools`] with per-shard hooks.
-    pub fn create_in_pools_with_hooks(
-        pools: Vec<NvmPool>,
-        config: ShardConfig,
-        router: Arc<dyn ShardRouter<S::Key>>,
-        hooks_for: impl Fn(usize) -> Hooks,
-    ) -> Result<Self, OnllError> {
-        Self::check_router(&config, router.as_ref())?;
-        Self::check_pools(&config, &pools)?;
         let shards = pools
             .iter()
             .enumerate()
@@ -109,6 +87,10 @@ impl<S: KeyedSpec> ShardedDurable<S> {
     /// thread per shard, each rebuilding its shard's execution trace from that
     /// shard's persistent logs, merged into a [`ShardRecoveryReport`].
     ///
+    /// `pools` holds one pool per shard, in shard order: the crashed object's
+    /// [`ShardedDurable::pools`] within one process, or
+    /// [`ShardConfig::open_pools`] in a freshly started one.
+    ///
     /// Recovery work is proportional to the surviving history, so parallelism
     /// across shards cuts restart latency by up to the shard count — the
     /// recovery-side payoff of partitioning.
@@ -123,18 +105,6 @@ impl<S: KeyedSpec> ShardedDurable<S> {
         router: Arc<dyn ShardRouter<S::Key>>,
     ) -> Result<(Self, ShardRecoveryReport), OnllError> {
         Self::recover_inner(pools, config, router, Durable::<S>::recover)
-    }
-
-    /// [`ShardedDurable::recover`] against pools reopened from the config's
-    /// backend ([`ShardConfig::open_pools`]) — the cross-process recovery
-    /// entry point: a freshly exec'd process recovers a file-backed sharded
-    /// store from its on-disk pools alone.
-    pub fn reopen(
-        config: ShardConfig,
-        router: Arc<dyn ShardRouter<S::Key>>,
-    ) -> Result<(Self, ShardRecoveryReport), OnllError> {
-        let pools = config.open_pools()?;
-        Self::recover(pools, config, router)
     }
 
     fn recover_inner(
@@ -378,16 +348,6 @@ impl<S: KeyedSpec + SnapshotSpec> ShardedDurable<S> {
             router,
             Durable::<S>::recover_with_checkpoints,
         )
-    }
-
-    /// [`ShardedDurable::recover_with_checkpoints`] against pools reopened
-    /// from the config's backend (see [`ShardedDurable::reopen`]).
-    pub fn reopen_with_checkpoints(
-        config: ShardConfig,
-        router: Arc<dyn ShardRouter<S::Key>>,
-    ) -> Result<(Self, ShardRecoveryReport), OnllError> {
-        let pools = config.open_pools()?;
-        Self::recover_with_checkpoints(pools, config, router)
     }
 
     /// Spawns the background checkpointer, one thread per shard, so shards

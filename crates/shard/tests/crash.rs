@@ -41,18 +41,15 @@ fn mid_persist_kill_on_one_shard_leaves_other_shards_unaffected() {
             }
         }
     });
-    let object = ShardedDurable::<SetSpec>::create_with_shard_hooks(
-        config.clone(),
-        router.clone(),
-        |shard| {
+    let object =
+        ShardedDurable::<SetSpec>::create_with_hooks(config.clone(), router.clone(), |shard| {
             if shard == 0 {
                 stall_hooks.clone()
             } else {
                 Hooks::none()
             }
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
 
     // Ten durable updates per shard.
     let mut handle = object.register().unwrap();

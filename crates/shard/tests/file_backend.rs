@@ -56,8 +56,9 @@ fn sharded_store_reopens_from_disk_alone() {
         }
         // Everything dropped: the next incarnation shares only the files.
     }
+    let pools = config.open_pools().expect("reopen the pool files");
     let (recovered, report) =
-        ShardedDurable::<KvSpec>::reopen(config, router).expect("reopen from disk");
+        ShardedDurable::<KvSpec>::recover(pools, config, router).expect("recover from disk");
     assert_eq!(report.per_shard.len(), 3);
     assert!(report.total_replayed() >= 60);
     for i in 0..60 {
@@ -93,8 +94,10 @@ fn checkpointed_sharded_store_reopens_with_bounded_replay() {
             handle.update(put(i));
         }
     }
-    let (recovered, report) = ShardedDurable::<KvSpec>::reopen_with_checkpoints(config, router)
-        .expect("checkpointed reopen from disk");
+    let pools = config.open_pools().expect("reopen the pool files");
+    let (recovered, report) =
+        ShardedDurable::<KvSpec>::recover_with_checkpoints(pools, config, router)
+            .expect("checkpointed recovery from disk");
     assert!(
         report.checkpoint_epochs().iter().any(|&e| e > 0),
         "no shard checkpointed: {report:?}"

@@ -4,7 +4,7 @@
 
 use durable_objects::{KvOp, KvRead, KvSpec, KvValue};
 use nvm_sim::PmemConfig;
-use onll::{OnllConfig, SequentialSpec};
+use onll::{KeyedSpec, OnllConfig, SequentialSpec};
 use onll_shard::{HashRouter, RangeRouter, ShardConfig, ShardRouter, ShardedDurable};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -105,10 +105,10 @@ proptest! {
         object.check_invariants().unwrap();
     }
 
-    /// Batched (fence-amortized) submission computes the same values and final
-    /// state as individual submission.
+    /// Group persist (`buffer_update` + `flush`, one fence per shard group)
+    /// computes the same values and final state as individual submission.
     #[test]
-    fn update_batch_matches_individual_updates(
+    fn group_persist_matches_individual_updates(
         ops in proptest::collection::vec((0u8..12, 0u8..4), 1..50),
     ) {
         let shards = 3;
@@ -129,9 +129,31 @@ proptest! {
         let individual_values: Vec<KvValue> =
             kv_ops.iter().cloned().map(|op| h1.update(op)).collect();
 
+        // A flushed group's values come back in its shard's buffer order; put
+        // each one back at its operation's input position.
         let batched = make();
         let mut h2 = batched.register().unwrap();
-        let batch_values = h2.update_batch(kv_ops).unwrap();
+        let mut batch_values: Vec<Option<KvValue>> = vec![None; kv_ops.len()];
+        let mut buffered: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut place = |shard: usize, values: Vec<KvValue>, buffered: &mut Vec<Vec<usize>>| {
+            let positions = std::mem::take(&mut buffered[shard]);
+            assert_eq!(positions.len(), values.len(), "one value per buffered update");
+            for (pos, value) in positions.into_iter().zip(values) {
+                batch_values[pos] = Some(value);
+            }
+        };
+        for (i, op) in kv_ops.into_iter().enumerate() {
+            let shard = h2.shard_of(&KvSpec::update_key(&op));
+            buffered[shard].push(i);
+            if let Some(values) = h2.buffer_update(op).unwrap() {
+                place(shard, values, &mut buffered);
+            }
+        }
+        for (shard, values) in h2.flush().unwrap() {
+            place(shard, values, &mut buffered);
+        }
+        prop_assert_eq!(h2.pending(), 0);
+        let batch_values: Vec<KvValue> = batch_values.into_iter().map(Option::unwrap).collect();
 
         prop_assert_eq!(individual_values, batch_values);
         prop_assert_eq!(
